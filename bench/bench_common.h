@@ -1,13 +1,15 @@
 // Shared helpers for the table/figure bench binaries.
 //
 // Every bench accepts:
-//   --hours H / --days D   measured duration (default: bench-specific)
 //   --seed S               RNG seed
+//   --quick                very short run (CI smoke)
+// and, where it uses them (BenchArgs::Accepts; any other flag exits 2):
+//   --hours H / --days D   measured duration (default: bench-specific)
+//   --csv PATH             also dump machine-readable series
 //   --trials N             independent realizations (default 1)
 //   --jobs J               worker threads for the trials (default 1)
-//   --csv PATH             also dump machine-readable series
-//   --quick                very short run (CI smoke)
-// and prints the paper table/figure it reproduces alongside the paper's
+//   --fault-scenario NAME|FILE   scripted fault injection
+// Each prints the paper table/figure it reproduces alongside the paper's
 // published values where applicable. With --trials > 1 the loss tables
 // carry mean±95%-CI cells (core/trials.h); with the default --trials 1
 // the output is unchanged from the historical single-run benches.
@@ -47,12 +49,16 @@ struct BenchArgs {
   // resolved, validated fault-DSL text (empty = no injection).
   std::string fault_scenario;
   std::string fault_dsl;
-  // --shards: 0 keeps the legacy single-stream underlay; any positive
-  // value runs the sharded discipline (byte-identical output at every
-  // positive value; see DESIGN.md §13). 0 itself is rejected on the
-  // command line — "--shards 0" is almost certainly a typo for legacy
-  // mode, which is the default when the flag is absent.
-  int shards = 0;
+
+  // The flags beyond --seed/--quick that a bench honours. parse()
+  // rejects the others with exit 2, so no bench accepts a flag and then
+  // silently ignores it.
+  enum Accepts : unsigned {
+    kDuration = 1u << 0,       // --hours / --days
+    kCsv = 1u << 1,            // --csv
+    kTrials = 1u << 2,         // --trials / --jobs
+    kFaultScenario = 1u << 3,  // --fault-scenario
+  };
 
   [[nodiscard]] bool multi_trial() const { return trials > 1; }
 
@@ -123,13 +129,12 @@ struct BenchArgs {
   // Applies the parsed --fault-scenario (if any) to an experiment:
   // schedule injection plus the graceful-degradation control plane.
   void apply_fault(ExperimentConfig& cfg) const {
-    cfg.shards = shards;
     if (fault_dsl.empty()) return;
     cfg.fault_dsl = fault_dsl;
     cfg.graceful_degradation = true;
   }
 
-  static BenchArgs parse(int argc, char** argv, Duration default_duration) {
+  static BenchArgs parse(int argc, char** argv, Duration default_duration, unsigned accepts) {
     BenchArgs a;
     a.duration = default_duration;
     for (int i = 1; i < argc; ++i) {
@@ -141,6 +146,15 @@ struct BenchArgs {
         }
         return argv[++i];
       };
+      const auto needs = [&](Accepts flag) {
+        if (accepts & flag) return;
+        std::fprintf(stderr, "%s: not used by %s\n", arg.c_str(), argv[0]);
+        std::exit(2);
+      };
+      if (arg == "--hours" || arg == "--days") needs(kDuration);
+      if (arg == "--csv") needs(kCsv);
+      if (arg == "--trials" || arg == "--jobs") needs(kTrials);
+      if (arg == "--fault-scenario") needs(kFaultScenario);
       if (arg == "--hours") {
         a.duration = Duration::hours(parse_int("--hours", next(), 1, 24 * 365));
       } else if (arg == "--days") {
@@ -152,8 +166,6 @@ struct BenchArgs {
         a.trials = static_cast<int>(parse_int("--trials", next(), 1, 100000));
       } else if (arg == "--jobs") {
         a.jobs = static_cast<int>(parse_int("--jobs", next(), 1, 1024));
-      } else if (arg == "--shards") {
-        a.shards = static_cast<int>(parse_int("--shards", next(), 1, 256));
       } else if (arg == "--csv") {
         a.csv_path = next();
       } else if (arg == "--fault-scenario") {
@@ -163,9 +175,11 @@ struct BenchArgs {
         a.quick = true;
         a.duration = Duration::hours(2);
       } else if (arg == "--help") {
-        std::printf("usage: %s [--hours H|--days D] [--seed S] [--trials N] [--jobs J] "
-                    "[--shards K] [--csv PATH] [--fault-scenario NAME|FILE] [--quick]\n",
-                    argv[0]);
+        std::printf("usage: %s [--seed S] [--quick]%s%s%s%s\n", argv[0],
+                    accepts & kDuration ? " [--hours H|--days D]" : "",
+                    accepts & kCsv ? " [--csv PATH]" : "",
+                    accepts & kTrials ? " [--trials N] [--jobs J]" : "",
+                    accepts & kFaultScenario ? " [--fault-scenario NAME|FILE]" : "");
         std::exit(0);
       } else {
         std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());

@@ -97,7 +97,10 @@ void print_figure_quantiles(const Aggregator& agg) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = bench::BenchArgs::parse(argc, argv, Duration::hours(24));
+  const auto args = bench::BenchArgs::parse(
+      argc, argv, Duration::hours(24),
+      bench::BenchArgs::kDuration | bench::BenchArgs::kCsv | bench::BenchArgs::kTrials |
+          bench::BenchArgs::kFaultScenario);
 
   ExperimentConfig cfg;
   cfg.dataset = Dataset::kRon2003;

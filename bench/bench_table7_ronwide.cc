@@ -19,7 +19,10 @@
 using namespace ronpath;
 
 int main(int argc, char** argv) {
-  const auto args = bench::BenchArgs::parse(argc, argv, Duration::hours(24));
+  const auto args = bench::BenchArgs::parse(
+      argc, argv, Duration::hours(24),
+      bench::BenchArgs::kDuration | bench::BenchArgs::kCsv | bench::BenchArgs::kTrials |
+          bench::BenchArgs::kFaultScenario);
 
   ExperimentConfig cfg;
   cfg.dataset = Dataset::kRonWide;

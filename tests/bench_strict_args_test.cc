@@ -6,6 +6,9 @@
 // benches must reject non-numeric, non-positive --max-regress (formerly
 // a silent strtod 0.0 that turned a typo into an always-failing or
 // disabled CI gate). The contract is a hard exit 2 before any work runs.
+// The same contract covers flags a bench does not use: the removed
+// --shards/--shard-sweep, and --trials/--jobs/--fault-scenario/--hours/
+// --csv on benches that would otherwise parse them and run without them.
 //
 // The benches are spawned as real subprocesses, located relative to
 // this test binary (build/tests/.. -> build/bench).
@@ -48,10 +51,14 @@ int run_bench(const std::string& exe, const std::string& args) {
   return WEXITSTATUS(rc);
 }
 
-void expect_rejects(const std::string& name, const std::string& args) {
+void expect_exit(const std::string& name, const std::string& args, int code) {
   const std::string exe = bench_dir() + "/" + name;
   ASSERT_TRUE(exists(exe)) << exe << " not built; build all targets before running ctest";
-  EXPECT_EQ(run_bench(exe, args), 2) << name << " " << args << ": expected exit 2";
+  EXPECT_EQ(run_bench(exe, args), code) << name << " " << args << ": expected exit " << code;
+}
+
+void expect_rejects(const std::string& name, const std::string& args) {
+  expect_exit(name, args, 2);
 }
 
 // The benches the original atoll sweep fixed, plus the perf benches.
@@ -99,6 +106,59 @@ TEST(BenchStrictArgs, UnknownFlagExitsTwo) {
   for (const char* name : kRegressBenches) {
     expect_rejects(name, "--definitely-not-a-flag");
   }
+}
+
+// Every bench whose argv goes through bench::BenchArgs::parse.
+const char* kBenchArgsBenches[] = {
+    "bench_ablation_estimator",   "bench_ablation_overlay_size", "bench_ablation_probe_interval",
+    "bench_fault_matrix",         "bench_fec_analysis",          "bench_fig2_pathloss_cdf",
+    "bench_fig3_window_cdf",      "bench_fig4_clp_cdf",          "bench_fig5_latency_cdf",
+    "bench_fig6_design_space",    "bench_full_eval",             "bench_soak",
+    "bench_table3_datasets",      "bench_table5_loss",           "bench_table6_highloss",
+    "bench_table7_ronwide",
+};
+
+// The sharded underlay is gone; a bench that still took --shards would
+// run the one remaining discipline and hide the typo. --quick bounds
+// the run time should a bench wrongly accept the flag.
+TEST(BenchStrictArgs, RemovedShardFlagsExitTwo) {
+  for (const char* name : kBenchArgsBenches) {
+    expect_rejects(name, "--quick --shards 4");
+  }
+  expect_rejects("bench_hotpath", "--quick --shards 4");
+  expect_rejects("bench_hotpath", "--quick --shard-sweep");
+  expect_rejects("bench_workload", "--quick --shards 4");
+}
+
+// A bench rejects a flag it does not use rather than parsing it (and
+// loading the fault DSL) only to run exactly as without it.
+TEST(BenchStrictArgs, UnusedFlagExitsTwo) {
+  for (const char* name : {"bench_fig2_pathloss_cdf", "bench_fig6_design_space",
+                           "bench_ablation_estimator", "bench_soak"}) {
+    expect_rejects(name, "--quick --fault-scenario single-site-blackout");
+    expect_rejects(name, "--quick --trials 2");
+    expect_rejects(name, "--quick --jobs 2");
+  }
+  expect_rejects("bench_table6_highloss", "--quick --trials 2");
+  expect_rejects("bench_table3_datasets", "--quick --csv /dev/null");
+  expect_rejects("bench_fault_matrix", "--quick --hours 1");
+}
+
+// The flags a bench does use still parse: --help exits 0 after every
+// flag before it was accepted, without running anything.
+TEST(BenchStrictArgs, UsedFlagsStillParse) {
+  for (const char* name : {"bench_table5_loss", "bench_table7_ronwide", "bench_full_eval"}) {
+    expect_exit(name,
+                "--hours 1 --trials 2 --jobs 2 --csv /dev/null "
+                "--fault-scenario single-site-blackout --help",
+                0);
+  }
+  expect_exit("bench_fault_matrix",
+              "--trials 2 --jobs 2 --csv /dev/null --fault-scenario single-site-blackout --help",
+              0);
+  expect_exit("bench_table6_highloss",
+              "--days 1 --csv /dev/null --fault-scenario single-site-blackout --help", 0);
+  expect_exit("bench_fig2_pathloss_cdf", "--hours 1 --csv /dev/null --help", 0);
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 // out-of-range values at parse time, with fault-DSL style
 // "line N, col C" diagnostics. The traffic matrix must be a pure
 // function of (spec, node count, window, rng stream): byte-stable
-// across runs and independent of anything policy- or shard-related.
+// across runs and independent of anything policy-related.
 
 #include <gtest/gtest.h>
 
