@@ -19,7 +19,9 @@
 // reads a committed trajectory file and exits 1 when packets/sec or
 // events/sec regressed by more than --max-regress x against the LAST
 // entry, so CI catches hot-path regressions without flagging ordinary
-// machine-to-machine variance.
+// machine-to-machine variance. It also exits 1 when the packet or
+// sample checksum differs from the committed one for the same seed and
+// iteration counts: a speedup must not change what is simulated.
 //
 // Usage:
 //   bench_hotpath [--quick] [--reps N] [--seed S] [--label NAME]
@@ -230,11 +232,12 @@ void bench_samples(Result& r, std::int64_t n, std::uint64_t seed) {
 
 // ------------------------------------------------------------------ plumbing
 
-void emit_json(std::FILE* f, const Result& r, const std::string& label) {
+void emit_json(std::FILE* f, const Result& r, const std::string& label, std::uint64_t seed) {
   std::fprintf(f,
                "{\n"
                "  \"schema\": \"ronpath-bench-hotpath-v1\",\n"
                "  \"label\": \"%s\",\n"
+               "  \"seed\": %llu,\n"
                "  \"packets\": %lld,\n"
                "  \"packets_per_sec\": %.1f,\n"
                "  \"events\": %lld,\n"
@@ -243,7 +246,8 @@ void emit_json(std::FILE* f, const Result& r, const std::string& label) {
                "  \"ns_per_sample\": %.2f,\n"
                "  \"packet_checksum\": \"%016llx\",\n"
                "  \"sample_checksum\": \"%016llx\"",
-               label.c_str(), static_cast<long long>(r.packets), r.packets_per_sec,
+               label.c_str(), static_cast<unsigned long long>(seed),
+               static_cast<long long>(r.packets), r.packets_per_sec,
                static_cast<long long>(r.events), r.events_per_sec,
                static_cast<long long>(r.samples), r.ns_per_sample,
                static_cast<unsigned long long>(r.packet_checksum),
@@ -251,7 +255,7 @@ void emit_json(std::FILE* f, const Result& r, const std::string& label) {
   std::fprintf(f, "\n}\n");
 }
 
-int compare_against(const char* path, const Result& r, double max_regress) {
+int compare_against(const char* path, const Result& r, std::uint64_t seed, double max_regress) {
   const std::optional<std::string> text = traj::read_file(path);
   if (!text) {
     std::fprintf(stderr, "--compare: cannot read %s\n", path);
@@ -291,6 +295,20 @@ int compare_against(const char* path, const Result& r, double max_regress) {
       rc = 1;
     }
   }
+
+  // The checksums pin what is simulated, so they are comparable only when
+  // the baseline ran the same seed and iteration counts. Entries without
+  // a seed field predate it and ran the default seed 42.
+  const bool same_shape =
+      traj::number_field(entry, "seed", 42.0) == static_cast<double>(seed) &&
+      traj::number_field(entry, "packets") == static_cast<double>(r.packets) &&
+      traj::number_field(entry, "samples") == static_cast<double>(r.samples);
+  if (!same_shape) {
+    std::printf("compare checksums skipped: the baseline ran a different seed or size\n");
+    return rc;
+  }
+  if (!traj::checksum_matches(entry, "packet_checksum", r.packet_checksum)) rc = 1;
+  if (!traj::checksum_matches(entry, "sample_checksum", r.sample_checksum)) rc = 1;
   return rc;
 }
 
@@ -380,13 +398,13 @@ int run(int argc, char** argv) {
                    std::strerror(errno));
       return 2;
     }
-    emit_json(f, r, label);
+    emit_json(f, r, label, seed);
     std::fclose(f);
   } else {
-    emit_json(stdout, r, label);
+    emit_json(stdout, r, label, seed);
   }
 
-  if (compare_path) return compare_against(compare_path, r, max_regress);
+  if (compare_path) return compare_against(compare_path, r, seed, max_regress);
   return 0;
 }
 

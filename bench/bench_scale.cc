@@ -21,24 +21,20 @@
 //                read from /proc/self/status (cumulative across tiers;
 //                0 off Linux).
 //
-// The 30-node tier doubles as the correctness anchor: the same cell is
-// re-run with the legacy full-mesh overlay (fanout 0) and with
-// fanout = n-1; their reports must be byte-identical (the capped
-// machinery — metering, budget enforcement, stride stamping — is
-// provably inert at full fanout). Any skew exits 2.
-//
 // Every run is a fixed-seed pure function, so per-tier report checksums
 // must agree across --reps; only wall clock may vary (best rep wins).
 // Results are emitted as a flat JSON object (the entry shape of
 // BENCH_scale.json); --compare reads the committed trajectory and exits
 // 1 when packets/sec or events/sec of any tier measured this run
 // regressed by more than --max-regress x against the LAST entry (tiers
-// absent on either side are skipped).
+// absent on either side are skipped), or when a tier's report checksum
+// differs from the committed one for the same fanout, landmarks, seed
+// and run length.
 //
 // Usage:
 //   bench_scale [--nodes N[,N...]] [--fanout K] [--landmarks L]
 //               [--seed S] [--reps N] [--label NAME] [--quick]
-//               [--no-anchor] [--out PATH] [--compare BENCH_scale.json]
+//               [--out PATH] [--compare BENCH_scale.json]
 //               [--max-regress F]
 
 #include <algorithm>
@@ -202,38 +198,26 @@ TierResult run_tier(const Scenario& scenario, const FaultMatrixConfig& cfg) {
   return r;
 }
 
-// The 30-node anchor: legacy full mesh vs fanout = n-1 must produce
-// byte-identical reports (same probes, same routes, same cell).
-bool anchor_holds(const Scenario& scenario, std::size_t nodes, std::size_t landmarks,
-                  std::uint64_t seed, bool quick) {
-  FaultMatrixConfig legacy = tier_config(nodes, 0, landmarks, seed, quick);
-  legacy.overlay_fanout = 0;
-  FaultMatrixConfig capped = tier_config(nodes, nodes - 1, landmarks, seed, quick);
-
-  SimWorld a(scenario, FaultScheme::kHybrid, legacy, seed);
-  a.run_to_end();
-  SimWorld b(scenario, FaultScheme::kHybrid, capped, seed);
-  b.run_to_end();
-  const std::string ra = a.report();
-  const std::string rb = b.report();
-  if (ra == rb) return true;
-  std::fprintf(stderr,
-               "ANCHOR FAILED at %zu nodes: fanout %zu diverged from the legacy full mesh\n"
-               "--- legacy ---\n%s--- capped ---\n%s",
-               nodes, nodes - 1, ra.c_str(), rb.c_str());
-  return false;
-}
+// The run parameters a tier's report checksum depends on.
+struct RunShape {
+  std::size_t fanout = 0;
+  std::size_t landmarks = 0;
+  std::uint64_t seed = 0;
+  bool quick = false;
+};
 
 void emit_json(std::FILE* f, const std::vector<TierResult>& tiers, const std::string& label,
-               std::size_t fanout, std::size_t landmarks, bool anchored) {
+               const RunShape& shape) {
   std::fprintf(f,
                "{\n"
                "  \"schema\": \"ronpath-bench-scale-v1\",\n"
                "  \"label\": \"%s\",\n"
                "  \"fanout\": %zu,\n"
                "  \"landmarks\": %zu,\n"
-               "  \"anchor\": \"%s\"",
-               label.c_str(), fanout, landmarks, anchored ? "ok" : "skipped");
+               "  \"seed\": %llu,\n"
+               "  \"quick\": %d",
+               label.c_str(), shape.fanout, shape.landmarks,
+               static_cast<unsigned long long>(shape.seed), shape.quick ? 1 : 0);
   for (const TierResult& t : tiers) {
     const auto n = t.nodes;
     std::fprintf(f,
@@ -260,7 +244,7 @@ void emit_json(std::FILE* f, const std::vector<TierResult>& tiers, const std::st
 }
 
 int compare_against(const char* path, const std::vector<TierResult>& tiers,
-                    double max_regress) {
+                    const RunShape& shape, double max_regress) {
   const std::optional<std::string> text = traj::read_file(path);
   if (!text) {
     std::fprintf(stderr, "--compare: cannot read %s\n", path);
@@ -296,6 +280,24 @@ int compare_against(const char* path, const std::vector<TierResult>& tiers,
       }
     }
   }
+  // Report checksums pin what is simulated, so they are comparable only
+  // when the baseline ran the same shape. Entries without a seed or
+  // quick field predate them and ran the defaults (seed 42, full run).
+  const bool same_shape =
+      traj::number_field(entry, "fanout") == static_cast<double>(shape.fanout) &&
+      traj::number_field(entry, "landmarks") == static_cast<double>(shape.landmarks) &&
+      traj::number_field(entry, "seed", 42.0) == static_cast<double>(shape.seed) &&
+      traj::number_field(entry, "quick", 0.0) == (shape.quick ? 1.0 : 0.0);
+  if (!same_shape) {
+    std::printf("compare report checksums skipped: the baseline ran a different shape\n");
+    return rc;
+  }
+  for (const TierResult& t : tiers) {
+    if (!traj::checksum_matches(entry, "report_checksum_" + std::to_string(t.nodes),
+                                t.report_checksum)) {
+      rc = 1;
+    }
+  }
   return rc;
 }
 
@@ -306,7 +308,6 @@ int run(int argc, char** argv) {
   std::uint64_t seed = 42;
   int reps = 1;
   bool quick = false;
-  bool anchor = true;
   std::string label = "run";
   std::string out_path;
   const char* compare_path = nullptr;
@@ -334,8 +335,6 @@ int run(int argc, char** argv) {
       reps = static_cast<int>(parse_int("--reps", next(), 1, 100));
     } else if (arg == "--quick") {
       quick = true;
-    } else if (arg == "--no-anchor") {
-      anchor = false;
     } else if (arg == "--label") {
       label = next();
     } else if (arg == "--out") {
@@ -346,7 +345,7 @@ int run(int argc, char** argv) {
       max_regress = parse_positive_double("--max-regress", next());
     } else if (arg == "--help") {
       std::printf("usage: %s [--nodes N[,N...]] [--fanout K] [--landmarks L] [--seed S] "
-                  "[--reps N] [--label NAME] [--quick] [--no-anchor] [--out PATH] "
+                  "[--reps N] [--label NAME] [--quick] [--out PATH] "
                   "[--compare FILE] [--max-regress F]\n",
                   argv[0]);
       return 0;
@@ -363,17 +362,6 @@ int run(int argc, char** argv) {
   if (scenario == nullptr) {
     std::fprintf(stderr, "canonical scenario \"link-flap\" is missing\n");
     return 2;
-  }
-
-  // Correctness before speed: at fanout >= n-1 the capped overlay must
-  // reproduce the legacy full mesh bit for bit on the smallest tier.
-  bool anchored = false;
-  if (anchor) {
-    const std::size_t n = tiers.front();
-    if (!anchor_holds(*scenario, n, landmarks, seed, quick)) return 2;
-    anchored = true;
-    std::printf("anchor: fanout %zu == legacy full mesh at %zu nodes (reports identical)\n",
-                n - 1, n);
   }
 
   std::vector<TierResult> results;
@@ -420,6 +408,7 @@ int run(int argc, char** argv) {
     }
   }
 
+  const RunShape shape{fanout, landmarks, seed, quick};
   if (!out_path.empty()) {
     std::FILE* f = std::fopen(out_path.c_str(), "w");
     if (!f) {
@@ -427,13 +416,13 @@ int run(int argc, char** argv) {
                    std::strerror(errno));
       return 2;
     }
-    emit_json(f, results, label, fanout, landmarks, anchored);
+    emit_json(f, results, label, shape);
     std::fclose(f);
   } else {
-    emit_json(stdout, results, label, fanout, landmarks, anchored);
+    emit_json(stdout, results, label, shape);
   }
 
-  if (compare_path) return compare_against(compare_path, results, max_regress);
+  if (compare_path) return compare_against(compare_path, results, shape, max_regress);
   return 0;
 }
 

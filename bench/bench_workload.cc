@@ -15,8 +15,8 @@
 // least one (scenario, class) SLO-attainment column. --compare reads
 // the committed BENCH_workload.json trajectory and exits 1 when
 // packets/sec regressed by more than --max-regress x against the LAST
-// entry (and when the baseline row ran the same shape, on any report
-// checksum drift).
+// entry, and (when the baseline row ran the same seed, mode and packet
+// count) on any report checksum drift.
 //
 // Usage:
 //   bench_workload [--quick] [--seed S] [--jobs J] [--spec FILE]
@@ -48,6 +48,7 @@ double now_seconds() {
 }
 
 struct Result {
+  std::uint64_t seed = 0;
   bool quick = false;
   std::int64_t cells = 0;
   std::int64_t packets = 0;  // application packets across all cells
@@ -64,6 +65,7 @@ void emit_json(std::FILE* f, const Result& r, const std::string& label) {
                "{\n"
                "  \"schema\": \"ronpath-bench-workload-v1\",\n"
                "  \"label\": \"%s\",\n"
+               "  \"seed\": %llu,\n"
                "  \"quick\": %d,\n"
                "  \"cells\": %lld,\n"
                "  \"packets\": %lld,\n"
@@ -72,7 +74,8 @@ void emit_json(std::FILE* f, const Result& r, const std::string& label) {
                "  \"adaptive_wins\": %d,\n"
                "  \"report_checksum\": \"%016llx\"\n"
                "}\n",
-               label.c_str(), r.quick ? 1 : 0, static_cast<long long>(r.cells),
+               label.c_str(), static_cast<unsigned long long>(r.seed), r.quick ? 1 : 0,
+               static_cast<long long>(r.cells),
                static_cast<long long>(r.packets), r.wall_s, r.packets_per_sec, r.adaptive_wins,
                static_cast<unsigned long long>(r.report_checksum));
 }
@@ -108,26 +111,12 @@ int compare_against(const char* path, const Result& r, double max_regress) {
 
   // The report checksum pins what is simulated, not how fast — but only
   // when the baseline row ran the same shape (quick mode changes the
-  // workload).
+  // workload). Entries without a seed field predate it and ran seed 42.
   const bool same_shape =
+      traj::number_field(entry, "seed", 42.0) == static_cast<double>(r.seed) &&
       traj::number_field(entry, "quick") == (r.quick ? 1.0 : 0.0) &&
       static_cast<std::int64_t>(traj::number_field(entry, "packets")) == r.packets;
-  if (same_shape) {
-    char measured_hex[32];
-    std::snprintf(measured_hex, sizeof(measured_hex), "%016llx",
-                  static_cast<unsigned long long>(r.report_checksum));
-    const std::string needle = std::string("\"report_checksum\": \"") + measured_hex + "\"";
-    if (entry.find(needle) == std::string::npos) {
-      std::fprintf(stderr,
-                   "CHECKSUM DRIFT: measured report checksum %s does not match the committed "
-                   "baseline — simulation behaviour changed\n",
-                   measured_hex);
-      rc = 1;
-    } else {
-      std::printf("compare %-16s %s (matches committed baseline)\n", "report_checksum",
-                  measured_hex);
-    }
-  }
+  if (same_shape && !traj::checksum_matches(entry, "report_checksum", r.report_checksum)) rc = 1;
   return rc;
 }
 
@@ -218,6 +207,7 @@ int run(int argc, char** argv) {
   std::fputs(report.c_str(), stdout);
 
   Result r;
+  r.seed = seed;
   r.quick = quick;
   r.cells = static_cast<std::int64_t>(result.cells.size());
   for (const WorkloadCell& cell : result.cells) {

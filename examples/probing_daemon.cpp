@@ -2,8 +2,12 @@
 // prints each node's routing decisions for a watched destination - the
 // kind of dashboard a deployed overlay operator would watch. Shows path
 // churn, down detection, and the loss/latency estimates driving choices.
+//
+// Usage: probing_daemon [MINUTES]   (virtual minutes, default 45)
 
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <string>
 
@@ -14,9 +18,33 @@
 
 using namespace ronpath;
 
+namespace {
+
+// One year of virtual minutes: far beyond any useful dashboard run.
+constexpr long kMaxMinutes = 525'600;
+
+// Parses MINUTES strictly: the whole token must be an integer in
+// [1, kMaxMinutes]; anything else exits 2 naming the argument.
+int parse_minutes(const char* text) {
+  errno = 0;
+  char* end = nullptr;
+  const long v = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || v < 1 || v > kMaxMinutes) {
+    std::fprintf(stderr, "MINUTES: expected an integer in [1, %ld], got \"%s\"\n", kMaxMinutes,
+                 text);
+    std::exit(2);
+  }
+  return static_cast<int>(v);
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  int minutes = 45;
-  if (argc > 1) minutes = std::atoi(argv[1]);
+  if (argc > 2) {
+    std::fprintf(stderr, "usage: %s [MINUTES]\n", argv[0]);
+    return 2;
+  }
+  const int minutes = argc > 1 ? parse_minutes(argv[1]) : 45;
 
   const Topology topo = testbed_2003();
   Rng rng(99);

@@ -12,6 +12,10 @@
 namespace ronpath {
 namespace {
 
+// The fault cell's CBR stream runs from node 0 to node 1.
+constexpr NodeId kCbrSrc = 0;
+constexpr NodeId kCbrDst = 1;
+
 Topology cell_topology(const FaultMatrixConfig& cfg) {
   if (cfg.synth_nodes > 0) {
     ScaleTopologyParams params;
@@ -69,6 +73,36 @@ CellEnv::CellEnv(const Scenario& scenario, HybridMode mode, const FaultMatrixCon
   HybridConfig hcfg;
   hcfg.mode = mode;
   sender.emplace(*overlay, hcfg, rng.fork("hybrid"));
+}
+
+HybridMode CellEnv::fault_mode(FaultScheme scheme) {
+  return scheme == FaultScheme::kMesh ? HybridMode::kAlwaysDuplicate : HybridMode::kAdaptive;
+}
+
+bool CellEnv::send_cbr(FaultScheme scheme, TimePoint t) {
+  switch (scheme) {
+    case FaultScheme::kDirect:
+      return overlay->send(overlay->route(kCbrSrc, kCbrDst, RouteTag::kDirect), t).delivered();
+    case FaultScheme::kReactive:
+      return overlay->send(overlay->route(kCbrSrc, kCbrDst, RouteTag::kLoss), t).delivered();
+    case FaultScheme::kMesh:
+    case FaultScheme::kHybrid:
+      return sender->send(kCbrSrc, kCbrDst, t).delivered();
+  }
+  return false;
+}
+
+FaultCell CellEnv::finish_cell(const Scenario& scenario, FaultScheme scheme,
+                               const FaultMatrixConfig& cfg,
+                               const std::vector<bool>& delivered) const {
+  FaultCell cell = analyze_fault_cell(scenario, cfg, delivered);
+  cell.overhead = (scheme == FaultScheme::kMesh || scheme == FaultScheme::kHybrid)
+                      ? sender->overhead_factor()
+                      : 1.0;
+  cell.route_switches = overlay->router(kCbrSrc).loss_switches(kCbrDst);
+  cell.injected_drops = net->stats().dropped_injected;
+  cell.merged_fault_windows = injector->merged_window_count();
+  return cell;
 }
 
 }  // namespace ronpath

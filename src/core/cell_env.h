@@ -8,6 +8,8 @@
 // overlay knobs — or fixed-seed outputs drift apart. CellEnv is that
 // sequence, extracted once; the differential tests that previously
 // pinned run_fault_cell against SimWorld now pin a single code path.
+// The fault cell's per-send CBR step and its finished-cell accounting
+// live here too, so run_fault_cell and SimWorld share them by code.
 //
 // Member order doubles as teardown order (reverse declaration):
 // sender -> overlay -> net -> sched -> injector -> topo.
@@ -17,6 +19,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "core/fault_matrix.h"
 #include "event/scheduler.h"
@@ -36,6 +39,20 @@ struct CellEnv {
   // touch it still see identical randomness everywhere else.
   CellEnv(const Scenario& scenario, HybridMode mode, const FaultMatrixConfig& cfg,
           std::uint64_t seed);
+
+  // The HybridSender policy a fault cell runs `scheme` with.
+  [[nodiscard]] static HybridMode fault_mode(FaultScheme scheme);
+
+  // One CBR packet of the fault cell's 0 -> 1 stream, sent at `t` under
+  // `scheme`; true when it reached a live destination.
+  [[nodiscard]] bool send_cbr(FaultScheme scheme, TimePoint t);
+
+  // The finished fault cell: analyze_fault_cell over the CBR delivery
+  // timeline plus this world's overhead, route-switch, injected-drop
+  // and merged-window counters.
+  [[nodiscard]] FaultCell finish_cell(const Scenario& scenario, FaultScheme scheme,
+                                      const FaultMatrixConfig& cfg,
+                                      const std::vector<bool>& delivered) const;
 
   Topology topo;
   std::optional<FaultInjector> injector;

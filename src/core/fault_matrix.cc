@@ -34,51 +34,20 @@ std::span<const FaultScheme> all_fault_schemes() { return kSchemes; }
 
 FaultCell run_fault_cell(const Scenario& scenario, FaultScheme scheme,
                          const FaultMatrixConfig& cfg, std::uint64_t seed) {
-  const HybridMode mode =
-      scheme == FaultScheme::kMesh ? HybridMode::kAlwaysDuplicate : HybridMode::kAdaptive;
-  CellEnv env(scenario, mode, cfg, seed);
-  Scheduler& sched = env.sched;
-  Network& net = *env.net;
-  OverlayNetwork& overlay = *env.overlay;
-  HybridSender& sender = *env.sender;
-  const FaultInjector& injector = *env.injector;
-
-  const NodeId src = 0;
-  const NodeId dst = 1;
+  CellEnv env(scenario, CellEnv::fault_mode(scheme), cfg, seed);
   const TimePoint measure_start = TimePoint::epoch() + cfg.warmup;
   const TimePoint end = measure_start + cfg.measured;
-  sched.run_until(measure_start);
+  env.sched.run_until(measure_start);
 
   std::vector<bool> delivered;
   delivered.reserve(
       static_cast<std::size_t>(cfg.measured.count_nanos() / cfg.send_interval.count_nanos()) + 1);
   for (TimePoint t = measure_start; t < end; t += cfg.send_interval) {
-    sched.run_until(t);
-    bool ok = false;
-    switch (scheme) {
-      case FaultScheme::kDirect:
-        ok = overlay.send(overlay.route(src, dst, RouteTag::kDirect), t).delivered();
-        break;
-      case FaultScheme::kReactive:
-        ok = overlay.send(overlay.route(src, dst, RouteTag::kLoss), t).delivered();
-        break;
-      case FaultScheme::kMesh:
-      case FaultScheme::kHybrid:
-        ok = sender.send(src, dst, t).delivered();
-        break;
-    }
-    delivered.push_back(ok);
+    env.sched.run_until(t);
+    delivered.push_back(env.send_cbr(scheme, t));
   }
-  sched.run_until(end);
-
-  FaultCell cell = analyze_fault_cell(scenario, cfg, delivered);
-  cell.overhead = (scheme == FaultScheme::kMesh || scheme == FaultScheme::kHybrid)
-                      ? sender.overhead_factor()
-                      : 1.0;
-  cell.route_switches = overlay.router(src).loss_switches(dst);
-  cell.injected_drops = net.stats().dropped_injected;
-  cell.merged_fault_windows = injector.merged_window_count();
-  return cell;
+  env.sched.run_until(end);
+  return env.finish_cell(scenario, scheme, cfg, delivered);
 }
 
 FaultCell analyze_fault_cell(const Scenario& scenario, const FaultMatrixConfig& cfg,

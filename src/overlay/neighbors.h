@@ -17,10 +17,9 @@
 // storage key used by the overlay's estimator array and the sparse
 // link-state table (state is O(n * fanout) instead of O(n^2)).
 //
-// `full_mesh(n)` (also what `build` returns when fanout >= n-1)
-// materializes the complete graph with `full() == true`; consumers use
-// the flag to keep bit-identical legacy behaviour — that equivalence is
-// the correctness anchor for the capped mode.
+// `full_mesh(n)` (also what `build` returns at fanout 0 or fanout >= n-1)
+// materializes the complete graph with `full() == true`; the link-state
+// table and routers use the flag to skip per-edge adjacency lookups.
 
 #ifndef RONPATH_OVERLAY_NEIGHBORS_H_
 #define RONPATH_OVERLAY_NEIGHBORS_H_
@@ -37,7 +36,7 @@ namespace ronpath {
 
 class NeighborSet {
  public:
-  // The complete graph on n nodes (legacy overlay shape).
+  // The complete graph on n nodes (the paper's overlay shape).
   [[nodiscard]] static NeighborSet full_mesh(std::size_t n);
 
   // k-nearest (k = fanout) by (propagation delay, id), symmetrized,

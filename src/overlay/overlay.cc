@@ -7,14 +7,6 @@
 #include "snapshot/codec.h"
 
 namespace ronpath {
-namespace {
-
-NeighborSet make_neighbors(const Topology& topo, const OverlayConfig& cfg) {
-  if (cfg.fanout == 0) return NeighborSet::full_mesh(topo.size());
-  return NeighborSet::build(topo, cfg.fanout, cfg.landmarks);
-}
-
-}  // namespace
 
 OverlayNetwork::OverlayNetwork(Network& net, Scheduler& sched, OverlayConfig cfg, Rng rng)
     : net_(net),
@@ -22,9 +14,8 @@ OverlayNetwork::OverlayNetwork(Network& net, Scheduler& sched, OverlayConfig cfg
       cfg_(cfg),
       n_(net.topology().size()),
       rng_(rng.fork("overlay")),
-      neighbors_(make_neighbors(net.topology(), cfg_)),
-      table_(n_, &neighbors_),
-      capped_(cfg_.fanout > 0) {
+      neighbors_(NeighborSet::build(net.topology(), cfg_.fanout, cfg_.landmarks)),
+      table_(n_, &neighbors_) {
   routers_.reserve(n_);
   for (NodeId i = 0; i < n_; ++i) {
     routers_.push_back(std::make_unique<Router>(i, table_, cfg_.router, &neighbors_));
@@ -39,11 +30,12 @@ OverlayNetwork::OverlayNetwork(Network& net, Scheduler& sched, OverlayConfig cfg
   budget_.resize(n_, 0);
   meters_.resize(n_);
   for (NodeId i = 0; i < n_; ++i) {
+    // Fanout 0 (the full mesh) announces the whole row every round.
     const std::size_t degree = neighbors_.degree(i);
-    if (capped_ && cfg_.fanout < degree) {
-      stride_[i] = static_cast<std::uint32_t>((degree + cfg_.fanout - 1) / cfg_.fanout);
+    const std::size_t window = cfg_.fanout == 0 ? degree : std::min(cfg_.fanout, degree);
+    if (window < degree) {
+      stride_[i] = static_cast<std::uint32_t>((degree + window - 1) / window);
     }
-    const std::size_t window = capped_ ? std::min(cfg_.fanout, degree) : degree;
     budget_[i] = cfg_.control_budget_bytes > 0
                      ? cfg_.control_budget_bytes
                      : static_cast<std::int64_t>(cfg_.lsa_entry_bytes * window) *
@@ -198,9 +190,9 @@ void OverlayNetwork::publish(NodeId src, NodeId dst) {
   if (fault_ && fault_->lsa_suppressed(src, now)) return;
 
   // Control-plane accounting: one announcement per publish, metered per
-  // global probe round. Both modes meter; only capped mode enforces the
-  // budget (the rotation provably stays within it, so enforcement is a
-  // guard rail, not a steady-state behavior).
+  // global probe round and enforced against the budget (the rotation
+  // provably stays within the derived budget, so enforcement is a guard
+  // rail, not a steady-state behavior).
   ControlMeter& meter = meters_[src];
   const std::int64_t round = now.since_epoch() / cfg_.probe_interval;
   if (round != meter.round) {
@@ -208,7 +200,7 @@ void OverlayNetwork::publish(NodeId src, NodeId dst) {
     meter.round_bytes = 0;
   }
   const auto bytes = static_cast<std::int64_t>(cfg_.lsa_entry_bytes);
-  if (capped_ && meter.round_bytes + bytes > budget_[src]) {
+  if (meter.round_bytes + bytes > budget_[src]) {
     ++meter.suppressed;
     return;
   }
@@ -227,12 +219,12 @@ void OverlayNetwork::publish(NodeId src, NodeId dst) {
   m.published = now;
   m.stride = stride_[src];
   table_.publish(src, dst, m);
-  // A capped announcement is bidirectional: when the peer's own rotation
-  // is slower than ours, refresh the mirror entry too so slow-rotating
-  // rows (landmarks above all) stay fresh through their neighbors'
-  // announcements. Same LSA, so it is charged once above. Never fires at
-  // stride 1, preserving the full-fanout equivalence anchor.
-  if (capped_ && stride_[dst] > 1) table_.publish(dst, src, m);
+  // An announcement is bidirectional: when the peer's own rotation is
+  // slower than ours, refresh the mirror entry too so slow-rotating rows
+  // (landmarks above all) stay fresh through their neighbors'
+  // announcements. Same LSA, so it is charged once above. Never fires on
+  // the full mesh, where every stride is 1.
+  if (stride_[dst] > 1) table_.publish(dst, src, m);
 }
 
 PathSpec OverlayNetwork::route(NodeId src, NodeId dst, RouteTag tag) {
@@ -424,14 +416,8 @@ void OverlayNetwork::check_invariants(TimePoint now, std::vector<std::string>& o
     if (m.round_bytes > m.max_round_bytes) {
       out.push_back(who + ": running round above its recorded high-water");
     }
-    if (capped_ && m.max_round_bytes > budget_[i]) {
+    if (m.max_round_bytes > budget_[i]) {
       out.push_back(who + ": round bytes exceeded the control budget");
-    }
-    if (!capped_ && m.suppressed != 0) {
-      out.push_back(who + ": budget suppression fired in legacy mode");
-    }
-    if (!capped_ && stride_[i] != 1) {
-      out.push_back("overlay: legacy mode with rotation stride != 1");
     }
     if (stride_[i] == 0) out.push_back("overlay: zero rotation stride");
   }

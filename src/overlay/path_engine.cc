@@ -23,8 +23,8 @@ struct LossObj {
   using Value = double;
   using Link = double;
   static constexpr Value kUnset = -1.0;  // below any survival in [0, 1]
-  static Link link(const LinkMetrics& m, const RouterConfig& cfg, bool expired) {
-    return link_loss(m, cfg, expired);
+  static Link link(const LinkMetrics& m, const RouterConfig& cfg, TimePoint now) {
+    return link_loss(m, cfg, now);
   }
   static Value seed(Link l) { return 1.0 - l; }
   static Value extend(Value prev, Link l) { return prev * (1.0 - l); }
@@ -35,21 +35,18 @@ struct LatObj {
   using Value = Duration;
   using Link = Duration;
   static constexpr Value kUnset = Duration::min();  // negative: no real chain
-  static Link link(const LinkMetrics& m, const RouterConfig& cfg, bool expired) {
-    return link_latency(m, cfg, expired);
+  static Link link(const LinkMetrics& m, const RouterConfig& cfg, TimePoint now) {
+    return link_latency(m, cfg, now);
   }
   static Value seed(Link l) { return l; }
   static Value extend(Value prev, Link l) { return Duration::saturating_add(prev, l); }
   static bool better(Value a, Value b) { return a < b; }
 };
 
-}  // namespace
-
-// Relaxation kernel shared by scratch, lazy-query and incremental
-// paths. Operates on one objective's flat label arrays. All tie-breaks
-// are "strict improvement scanning predecessors in ascending order"
-// (equivalently: better value, else smaller parent id), which is the
-// order the differential reference replicates.
+// Relaxation kernel. Operates on one objective's flat label arrays. All
+// tie-breaks are "strict improvement scanning predecessors in ascending
+// order" (equivalently: better value, else smaller parent id), which is
+// the order the differential reference replicates.
 template <class Obj>
 struct EngineKernel {
   using Value = typename Obj::Value;
@@ -58,26 +55,19 @@ struct EngineKernel {
   const RouterConfig& cfg;
   std::size_t n;
   NodeId src;
-  // Banned relay (per-query mode passes the destination: the legacy
-  // scans never relay through dst, and with a zero penalty a chain
-  // revisiting dst can out-round the direct path by one ulp). Shared
-  // tables serve every destination, so they leave this unset and rely
-  // on per-relay penalties to dominate such chains.
+  // Banned relay: the queried destination. The legacy scans never
+  // relay through dst, and with a zero penalty a chain revisiting dst
+  // can out-round the direct path by one ulp.
   NodeId ban;
   const std::vector<bool>& live;
-  const std::vector<bool>* excluded;       // may be null
-  const std::vector<bool>* expired_table;  // shared mode; null => use `now`
+  const std::vector<bool>* excluded;  // may be null
   TimePoint now;
   std::vector<Value>& val;   // [(round) * n + node]
   std::vector<NodeId>& par;  // kInvalidNode == unset; src at round 0
   EngineStats& stats;
 
   [[nodiscard]] typename Obj::Link edge(NodeId u, NodeId w) const {
-    const LinkMetrics& m = table.get(u, w);
-    const bool exp = expired_table != nullptr
-                         ? (*expired_table)[static_cast<std::size_t>(u) * n + w]
-                         : entry_expired(m, cfg, now);
-    return Obj::link(m, cfg, exp);
+    return Obj::link(table.get(u, w), cfg, now);
   }
 
   // A node may act as a relay source for round r when it is not the
@@ -98,23 +88,20 @@ struct EngineKernel {
     return true;
   }
 
-  void seed_one(NodeId w) {
-    if (w == src) {
-      val[w] = Obj::kUnset;
-      par[w] = kInvalidNode;
-      return;
-    }
-    val[w] = Obj::seed(edge(src, w));
-    par[w] = src;
-  }
-
   void seed_round0() {
-    for (NodeId w = 0; w < n; ++w) seed_one(w);
+    for (NodeId w = 0; w < n; ++w) {
+      if (w == src) {
+        val[w] = Obj::kUnset;
+        par[w] = kInvalidNode;
+        continue;
+      }
+      val[w] = Obj::seed(edge(src, w));
+      par[w] = src;
+    }
   }
 
   // Offers label(r-1, u) + edge(u, w) as a candidate for label(r, w).
-  // Returns true when the label changed (value or parent).
-  bool cand_check(int r, NodeId w, NodeId u) {
+  void cand_check(int r, NodeId w, NodeId u) {
     ++stats.edges_relaxed;
     const std::size_t i = static_cast<std::size_t>(r) * n + w;
     const Value cand = Obj::extend(val[static_cast<std::size_t>(r - 1) * n + u], edge(u, w));
@@ -122,27 +109,7 @@ struct EngineKernel {
         (cand == val[i] && u < par[i])) {
       val[i] = cand;
       par[i] = u;
-      return true;
     }
-    return false;
-  }
-
-  // Recomputes label(r, w) from scratch over all admissible sources.
-  // Returns true when the result differs from the previous label.
-  bool rescan(int r, NodeId w) {
-    ++stats.labels_rescanned;
-    const std::size_t i = static_cast<std::size_t>(r) * n + w;
-    const Value old_val = val[i];
-    const NodeId old_par = par[i];
-    val[i] = Obj::kUnset;
-    par[i] = kInvalidNode;
-    if (w != src) {
-      for (NodeId u = 0; u < n; ++u) {
-        if (u == w || !admissible(u, r)) continue;
-        cand_check(r, w, u);
-      }
-    }
-    return val[i] != old_val || par[i] != old_par;
   }
 
   // Full round-r relax. `only`, when valid, restricts targets to one
@@ -184,8 +151,7 @@ struct EngineKernel {
   }
 };
 
-template struct EngineKernel<LossObj>;
-template struct EngineKernel<LatObj>;
+}  // namespace
 
 PathEngine::PathEngine(const LinkStateTable& table, const RouterConfig& cfg)
     : table_(table), cfg_(cfg), n_(table.size()) {}
@@ -275,25 +241,14 @@ void PathEngine::refresh_live() {
   for (NodeId v = 0; v < n_; ++v) q_live_[v] = table_.node_seems_up(v);
 }
 
-void PathEngine::refresh_expired() {
-  expired_.assign(n_ * n_, false);
-  for (NodeId u = 0; u < n_; ++u) {
-    for (NodeId w = 0; w < n_; ++w) {
-      if (u == w) continue;
-      expired_[static_cast<std::size_t>(u) * n_ + w] =
-          entry_expired(table_.get(u, w), cfg_, now_);
-    }
-  }
-}
-
 EngineChoice PathEngine::best_loss(NodeId src, NodeId dst, int max_hops, TimePoint now,
                                    const std::vector<bool>* excluded, bool include_direct) {
   assert(src < n_ && dst < n_ && src != dst);
   ensure_scratch();
   refresh_live();
   const int k = clamp_rounds(max_hops);
-  EngineKernel<LossObj> kern{table_,   cfg_,     n_,  src, /*ban=*/dst,   q_live_,
-                             excluded, nullptr,  now, q_loss_.value, q_loss_.parent, stats_};
+  EngineKernel<LossObj> kern{table_,   cfg_, n_,           src,           /*ban=*/dst, q_live_,
+                             excluded, now,  q_loss_.value, q_loss_.parent, stats_};
   kern.seed_round0();
   for (int r = 1; r <= k; ++r) kern.relax_round(r, r == k ? dst : kInvalidNode);
   const double direct = link_loss(table_.get(src, dst), cfg_, now);
@@ -306,208 +261,12 @@ EngineChoice PathEngine::best_latency(NodeId src, NodeId dst, int max_hops, Time
   ensure_scratch();
   refresh_live();
   const int k = clamp_rounds(max_hops);
-  EngineKernel<LatObj> kern{table_,   cfg_,    n_,  src, /*ban=*/dst,  q_live_,
-                            excluded, nullptr, now, q_lat_.value, q_lat_.parent, stats_};
+  EngineKernel<LatObj> kern{table_,   cfg_, n_,          src,          /*ban=*/dst, q_live_,
+                            excluded, now,  q_lat_.value, q_lat_.parent, stats_};
   kern.seed_round0();
   for (int r = 1; r <= k; ++r) kern.relax_round(r, r == k ? dst : kInvalidNode);
   const Duration direct = link_latency(table_.get(src, dst), cfg_, now);
   return finish_lat(kern, dst, k, direct, include_direct);
-}
-
-void PathEngine::relax_all(NodeId src, int max_hops, TimePoint now) {
-  assert(src < n_);
-  src_ = src;
-  rounds_ = clamp_rounds(max_hops);
-  now_ = now;
-  const std::size_t want = static_cast<std::size_t>(kMaxRounds + 1) * n_;
-  s_loss_.value.assign(want, -1.0);
-  s_loss_.parent.assign(want, kInvalidNode);
-  s_lat_.value.assign(want, Duration::min());
-  s_lat_.parent.assign(want, kInvalidNode);
-  live_.assign(n_, false);
-  for (NodeId v = 0; v < n_; ++v) live_[v] = table_.node_seems_up(v);
-  refresh_expired();
-
-  EngineKernel<LossObj> kl{table_,  cfg_,      n_,   src_,          kInvalidNode,   live_,
-                           nullptr, &expired_, now_, s_loss_.value, s_loss_.parent, stats_};
-  kl.seed_round0();
-  for (int r = 1; r <= rounds_; ++r) kl.relax_round(r);
-  EngineKernel<LatObj> kt{table_,  cfg_,      n_,   src_,         kInvalidNode,  live_,
-                          nullptr, &expired_, now_, s_lat_.value, s_lat_.parent, stats_};
-  kt.seed_round0();
-  for (int r = 1; r <= rounds_; ++r) kt.relax_round(r);
-  shared_ready_ = true;
-}
-
-namespace {
-
-// Incremental re-relaxation driver for one objective. `edges` lists
-// republished / expiry-flipped entries; `live_flips` lists nodes whose
-// seems-up status flipped. Per round: labels whose recorded parent is a
-// dirty source are fully rescanned (its candidate may have worsened),
-// every other label gets cheap single-candidate improvement checks from
-// the dirty sources. Dirty sources for round r are nodes whose label
-// changed at r-1 (candidate value changed) or at r-2 (stagnation
-// status, hence admissibility, may have flipped), plus liveness flips.
-template <class Obj>
-void incremental_pass(EngineKernel<Obj>& k, int rounds,
-                      const std::vector<std::pair<NodeId, NodeId>>& edges,
-                      const std::vector<NodeId>& live_flips, std::vector<bool>& prev,
-                      std::vector<bool>& prev2, std::vector<bool>& cur,
-                      std::vector<bool>& rescan_set) {
-  const std::size_t n = k.n;
-  prev.assign(n, false);
-  prev2.assign(n, false);
-  std::vector<bool> flip(n, false);
-  for (NodeId x : live_flips) flip[x] = true;
-
-  // Round 0: only edges out of the source matter; liveness does not
-  // gate the direct label.
-  for (const auto& [u, v] : edges) {
-    if (u != k.src || v == k.src) continue;
-    const std::size_t i = v;
-    const typename Obj::Value old_val = k.val[i];
-    k.seed_one(v);
-    if (k.val[i] != old_val && !prev[v]) {
-      prev[v] = true;
-      ++k.stats.labels_changed;
-    }
-  }
-
-  for (int r = 1; r <= rounds; ++r) {
-    cur.assign(n, false);
-    rescan_set.assign(n, false);
-    const std::size_t base = static_cast<std::size_t>(r) * n;
-    // (a) Labels that must be fully recomputed: parent is dirty, or the
-    // changed edge feeds the recorded parent link.
-    for (NodeId w = 0; w < n; ++w) {
-      const NodeId p = k.par[base + w];
-      if (p == kInvalidNode || p == k.src) continue;
-      if (prev[p] || prev2[p] || flip[p]) rescan_set[w] = true;
-    }
-    for (const auto& [u, v] : edges) {
-      if (u == k.src || v == k.src) continue;
-      if (k.par[base + v] == u) rescan_set[v] = true;
-    }
-    for (NodeId w = 0; w < n; ++w) {
-      if (rescan_set[w] && k.rescan(r, w)) {
-        cur[w] = true;
-        ++k.stats.labels_changed;
-      }
-    }
-    // (b) Improvement checks from dirty sources into every other label.
-    for (NodeId u = 0; u < n; ++u) {
-      if (!prev[u] && !prev2[u] && !flip[u]) continue;
-      if (!k.admissible(u, r)) continue;
-      for (NodeId w = 0; w < n; ++w) {
-        if (w == u || w == k.src || rescan_set[w]) continue;
-        if (k.cand_check(r, w, u)) {
-          cur[w] = true;
-          ++k.stats.labels_changed;
-        }
-      }
-    }
-    // (c) Changed edges offer their (possibly improved) candidate.
-    for (const auto& [u, v] : edges) {
-      if (u == k.src || v == k.src || v == u) continue;
-      if (rescan_set[v] || !k.admissible(u, r)) continue;
-      if (k.cand_check(r, v, u)) {
-        cur[v] = true;
-        ++k.stats.labels_changed;
-      }
-    }
-    std::swap(prev2, prev);
-    std::swap(prev, cur);
-  }
-}
-
-}  // namespace
-
-void PathEngine::apply_update(NodeId from, NodeId to) {
-  assert(shared_ready_);
-  assert(from < n_ && to < n_ && from != to);
-  expired_[static_cast<std::size_t>(from) * n_ + to] =
-      entry_expired(table_.get(from, to), cfg_, now_);
-  std::vector<std::pair<NodeId, NodeId>> edges{{from, to}};
-  std::vector<NodeId> flips;
-  for (NodeId x : {from, to}) {
-    if (x == src_) continue;
-    const bool up = table_.node_seems_up(x);
-    if (up != live_[x]) {
-      live_[x] = up;
-      flips.push_back(x);
-    }
-  }
-  EngineKernel<LossObj> kl{table_,  cfg_,      n_,   src_,          kInvalidNode,   live_,
-                           nullptr, &expired_, now_, s_loss_.value, s_loss_.parent, stats_};
-  incremental_pass(kl, rounds_, edges, flips, changed_prev_, changed_prev2_, changed_cur_,
-                   rescan_);
-  EngineKernel<LatObj> kt{table_,  cfg_,      n_,   src_,         kInvalidNode,  live_,
-                          nullptr, &expired_, now_, s_lat_.value, s_lat_.parent, stats_};
-  incremental_pass(kt, rounds_, edges, flips, changed_prev_, changed_prev2_, changed_cur_,
-                   rescan_);
-}
-
-void PathEngine::set_now(TimePoint now) {
-  assert(shared_ready_);
-  now_ = now;
-  std::vector<std::pair<NodeId, NodeId>> edges;
-  for (NodeId u = 0; u < n_; ++u) {
-    for (NodeId w = 0; w < n_; ++w) {
-      if (u == w) continue;
-      const std::size_t i = static_cast<std::size_t>(u) * n_ + w;
-      const bool exp = entry_expired(table_.get(u, w), cfg_, now_);
-      if (exp != expired_[i]) {
-        expired_[i] = exp;
-        edges.emplace_back(u, w);
-      }
-    }
-  }
-  if (edges.empty()) return;
-  const std::vector<NodeId> no_flips;  // liveness ignores staleness
-  EngineKernel<LossObj> kl{table_,  cfg_,      n_,   src_,          kInvalidNode,   live_,
-                           nullptr, &expired_, now_, s_loss_.value, s_loss_.parent, stats_};
-  incremental_pass(kl, rounds_, edges, no_flips, changed_prev_, changed_prev2_, changed_cur_,
-                   rescan_);
-  EngineKernel<LatObj> kt{table_,  cfg_,      n_,   src_,         kInvalidNode,  live_,
-                          nullptr, &expired_, now_, s_lat_.value, s_lat_.parent, stats_};
-  incremental_pass(kt, rounds_, edges, no_flips, changed_prev_, changed_prev2_, changed_cur_,
-                   rescan_);
-}
-
-EngineChoice PathEngine::table_best_loss(NodeId dst) const {
-  assert(shared_ready_ && dst < n_ && dst != src_);
-  auto& self = *const_cast<PathEngine*>(this);
-  EngineKernel<LossObj> kern{table_,  cfg_,      n_,   src_,               kInvalidNode,
-                             live_,   nullptr,   &expired_,
-                             now_,    self.s_loss_.value, self.s_loss_.parent, self.stats_};
-  const double direct =
-      link_loss(table_.get(src_, dst), cfg_, expired_[static_cast<std::size_t>(src_) * n_ + dst]);
-  return finish_loss(kern, dst, rounds_, direct, true);
-}
-
-EngineChoice PathEngine::table_best_latency(NodeId dst) const {
-  assert(shared_ready_ && dst < n_ && dst != src_);
-  auto& self = *const_cast<PathEngine*>(this);
-  EngineKernel<LatObj> kern{table_,  cfg_,      n_,   src_,              kInvalidNode,
-                            live_,   nullptr,   &expired_,
-                            now_,    self.s_lat_.value, self.s_lat_.parent, self.stats_};
-  const Duration direct = link_latency(
-      table_.get(src_, dst), cfg_, expired_[static_cast<std::size_t>(src_) * n_ + dst]);
-  return finish_lat(kern, dst, rounds_, direct, true);
-}
-
-double PathEngine::loss_label(int round, NodeId node) const {
-  return s_loss_.value[static_cast<std::size_t>(round) * n_ + node];
-}
-Duration PathEngine::lat_label(int round, NodeId node) const {
-  return s_lat_.value[static_cast<std::size_t>(round) * n_ + node];
-}
-NodeId PathEngine::loss_parent(int round, NodeId node) const {
-  return s_loss_.parent[static_cast<std::size_t>(round) * n_ + node];
-}
-NodeId PathEngine::lat_parent(int round, NodeId node) const {
-  return s_lat_.parent[static_cast<std::size_t>(round) * n_ + node];
 }
 
 }  // namespace ronpath

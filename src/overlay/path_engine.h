@@ -16,18 +16,12 @@
 // (indirect_loss_penalty / indirect_lat_penalty are charged per relay),
 // and a penalized order is not preserved under label composition.
 //
-// Two query styles share one relaxation kernel:
-//
-//   * per-query (lazy): best_loss()/best_latency() relax scratch tables
-//     for one (src, dst, now) question, honoring a per-destination
-//     exclusion mask (hold-down) and an include_direct flag. At k == 1
-//     this costs the same O(n) link evaluations as the legacy scan and
-//     reproduces its choices bit-for-bit (same composition expressions,
-//     same ascending strict-improvement tie-breaks).
-//   * shared incremental: relax_all() builds tables for every
-//     destination at a fixed (src, now) anchor; apply_update() /
-//     set_now() re-relax only labels affected by a changed link-state
-//     entry or an expiry flip instead of recomputing the whole table.
+// best_loss()/best_latency() relax scratch tables for one
+// (src, dst, now) question, honoring a per-destination exclusion mask
+// (hold-down) and an include_direct flag. At k == 1 this costs the same
+// O(n) link evaluations as the legacy scan and reproduces its choices
+// bit-for-bit (same composition expressions, same ascending
+// strict-improvement tie-breaks).
 //
 // Selection order (the spec the differential tests pin): candidates are
 // compared by penalized value with strict improvement, rounds ascending
@@ -37,10 +31,9 @@
 // ties resolve to the smallest last relay, then recursively to the best
 // (then smallest) prefix. Paths through down, expired, excluded or
 // seems-down nodes follow the same link_loss/link_latency semantics as
-// the legacy router. Per-query mode additionally bans the queried
-// destination from relay positions (as the legacy scans do). Labels may
-// still transiently record non-simple chains (node revisits; in shared
-// mode also chains through a destination); a dominance argument (see
+// the legacy router, and the queried destination is banned from relay
+// positions (as the legacy scans do). Labels may still transiently
+// record non-simple chains (node revisits); a dominance argument (see
 // DESIGN.md "Path engine") shows such chains never win a query, and the
 // differential tests verify it.
 
@@ -84,13 +77,10 @@ struct EngineChoice {
 };
 
 // Work counters for the scaling story: per-round relax cost should track
-// the marked frontier, and incremental updates should touch only
-// affected labels.
+// the marked frontier.
 struct EngineStats {
-  std::uint64_t edges_relaxed = 0;      // candidate extensions evaluated
-  std::uint64_t labels_rescanned = 0;   // full label recomputes (incremental)
-  std::uint64_t sources_skipped = 0;    // stagnant/pruned relax sources
-  std::uint64_t labels_changed = 0;     // labels rewritten by incremental ops
+  std::uint64_t edges_relaxed = 0;    // candidate extensions evaluated
+  std::uint64_t sources_skipped = 0;  // stagnant/pruned relax sources
 };
 
 class PathEngine {
@@ -100,8 +90,6 @@ class PathEngine {
   // The engine reads `table` and `cfg` by reference; both must outlive
   // it. One engine serves any source (queries take `src`).
   PathEngine(const LinkStateTable& table, const RouterConfig& cfg);
-
-  // --- per-query lazy mode ----------------------------------------
 
   // Best path src -> dst using at most `max_hops` relays under the
   // staleness policy at `now`. `excluded`, when non-null (size n), bars
@@ -114,42 +102,10 @@ class PathEngine {
                                           const std::vector<bool>* excluded = nullptr,
                                           bool include_direct = true);
 
-  // --- shared incremental mode ------------------------------------
-
-  // Builds full label tables for `src` at anchor time `now`, rounds
-  // 0..max_hops, both objectives. Subsequent queries and updates refer
-  // to this anchor.
-  void relax_all(NodeId src, int max_hops, TimePoint now);
-
-  // Re-relaxes labels affected by a republished entry (call after
-  // LinkStateTable::publish(from, to)). Liveness flips of the endpoint
-  // nodes are detected and propagated.
-  void apply_update(NodeId from, NodeId to);
-
-  // Moves the staleness anchor; entries whose expiry status flips are
-  // re-relaxed incrementally.
-  void set_now(TimePoint now);
-
-  // Query against the shared tables (no exclusions; direct included).
-  [[nodiscard]] EngineChoice table_best_loss(NodeId dst) const;
-  [[nodiscard]] EngineChoice table_best_latency(NodeId dst) const;
-
-  // Label introspection for the property tests: value/parent of the
-  // shared tables. Parent == kInvalidNode marks an unset label.
-  [[nodiscard]] double loss_label(int round, NodeId node) const;
-  [[nodiscard]] Duration lat_label(int round, NodeId node) const;
-  [[nodiscard]] NodeId loss_parent(int round, NodeId node) const;
-  [[nodiscard]] NodeId lat_parent(int round, NodeId node) const;
-
   [[nodiscard]] const EngineStats& stats() const { return stats_; }
   void reset_stats() { stats_ = EngineStats{}; }
 
  private:
-  struct Shared;  // defined in the .cc
-
-  template <class Obj>
-  friend struct EngineKernel;
-
   // Flat per-objective label storage: value/parent indexed [r * n + w].
   struct LossLabels {
     std::vector<double> value;   // survival product along the chain
@@ -162,31 +118,15 @@ class PathEngine {
 
   void ensure_scratch();
   void refresh_live();
-  void refresh_expired();
 
   const LinkStateTable& table_;
   const RouterConfig& cfg_;
   std::size_t n_;
 
-  // Scratch for per-query mode (reused, no per-call allocation).
+  // Scratch labels (reused, no per-call allocation).
   LossLabels q_loss_;
   LatLabels q_lat_;
   std::vector<bool> q_live_;
-
-  // Shared incremental state.
-  bool shared_ready_ = false;
-  NodeId src_ = kInvalidNode;
-  int rounds_ = 0;
-  TimePoint now_;
-  LossLabels s_loss_;
-  LatLabels s_lat_;
-  std::vector<bool> live_;
-  std::vector<bool> expired_;  // per directed entry, anchored at now_
-  // Incremental worklists (reused).
-  std::vector<bool> changed_prev_;
-  std::vector<bool> changed_prev2_;
-  std::vector<bool> changed_cur_;
-  std::vector<bool> rescan_;
 
   EngineStats stats_;
 };

@@ -8,28 +8,20 @@
 
 namespace ronpath {
 
-double link_loss(const LinkMetrics& m, const RouterConfig& cfg, bool expired) {
+double link_loss(const LinkMetrics& m, const RouterConfig& cfg, TimePoint now) {
   // Expired entries degrade to "unknown", not to their last value: a
   // stale "0.1% loss" (or a stale down flag) is exactly the garbage the
   // degradation policy exists to stop routing on.
-  if (expired) return cfg.unknown_loss;
+  if (entry_expired(m, cfg, now)) return cfg.unknown_loss;
   // Down links lose everything for selection purposes.
   if (m.down) return 1.0;
   return m.loss;
 }
 
-double link_loss(const LinkMetrics& m, const RouterConfig& cfg, TimePoint now) {
-  return link_loss(m, cfg, entry_expired(m, cfg, now));
-}
-
-Duration link_latency(const LinkMetrics& m, const RouterConfig& cfg, bool expired) {
-  if (expired) return Duration::max();
+Duration link_latency(const LinkMetrics& m, const RouterConfig& cfg, TimePoint now) {
+  if (entry_expired(m, cfg, now)) return Duration::max();
   if (m.down) return cfg.down_penalty;
   return m.latency;  // Duration::max() when never measured
-}
-
-Duration link_latency(const LinkMetrics& m, const RouterConfig& cfg, TimePoint now) {
-  return link_latency(m, cfg, entry_expired(m, cfg, now));
 }
 
 bool entry_expired(const LinkMetrics& m, const RouterConfig& cfg, TimePoint now) {

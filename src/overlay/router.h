@@ -124,11 +124,6 @@ struct PathChoice {
 // path engine's relaxation, so the two compose identically.
 [[nodiscard]] double link_loss(const LinkMetrics& m, const RouterConfig& cfg, TimePoint now);
 [[nodiscard]] Duration link_latency(const LinkMetrics& m, const RouterConfig& cfg, TimePoint now);
-// Overloads taking a precomputed expiry verdict; the engine's shared
-// tables cache entry_expired() per entry so incremental updates need
-// not re-derive it per relaxation.
-[[nodiscard]] double link_loss(const LinkMetrics& m, const RouterConfig& cfg, bool expired);
-[[nodiscard]] Duration link_latency(const LinkMetrics& m, const RouterConfig& cfg, bool expired);
 
 // Composed one-way loss estimate of a path under the table's current view.
 // Handles direct, one-hop and two-hop paths. The `now`-aware overload

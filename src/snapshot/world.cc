@@ -30,9 +30,7 @@ SimWorld::SimWorld(const Scenario& scenario, FaultScheme scheme, const FaultMatr
       scheme_(scheme),
       cfg_(cfg),
       seed_(seed),
-      env_(scenario,
-           scheme == FaultScheme::kMesh ? HybridMode::kAlwaysDuplicate : HybridMode::kAdaptive,
-           cfg, seed) {
+      env_(scenario, CellEnv::fault_mode(scheme), cfg, seed) {
   delivered_.reserve(total_sends() + 1);
 }
 
@@ -52,21 +50,6 @@ std::size_t SimWorld::total_sends() const {
   return static_cast<std::size_t>((cfg_.measured.count_nanos() + interval - 1) / interval);
 }
 
-bool SimWorld::send_one(TimePoint t) {
-  constexpr NodeId src = 0;
-  constexpr NodeId dst = 1;
-  switch (scheme_) {
-    case FaultScheme::kDirect:
-      return env_.overlay->send(env_.overlay->route(src, dst, RouteTag::kDirect), t).delivered();
-    case FaultScheme::kReactive:
-      return env_.overlay->send(env_.overlay->route(src, dst, RouteTag::kLoss), t).delivered();
-    case FaultScheme::kMesh:
-    case FaultScheme::kHybrid:
-      return env_.sender->send(src, dst, t).delivered();
-  }
-  return false;
-}
-
 void SimWorld::advance_to(std::size_t send_index) {
   const std::size_t total = total_sends();
   if (send_index > total) send_index = total;
@@ -78,7 +61,7 @@ void SimWorld::advance_to(std::size_t send_index) {
     const TimePoint t =
         measure_start() + cfg_.send_interval * static_cast<std::int64_t>(next_send_);
     env_.sched.run_until(t);
-    delivered_.push_back(send_one(t));
+    delivered_.push_back(env_.send_cbr(scheme_, t));
     ++next_send_;
   }
 }
@@ -166,15 +149,7 @@ void SimWorld::restore_state(snap::Decoder& d) {
 
 FaultCell SimWorld::cell() const {
   assert(drained_);
-  const Scenario scenario = scenario_view();
-  FaultCell cell = analyze_fault_cell(scenario, cfg_, delivered_);
-  cell.overhead = (scheme_ == FaultScheme::kMesh || scheme_ == FaultScheme::kHybrid)
-                      ? env_.sender->overhead_factor()
-                      : 1.0;
-  cell.route_switches = env_.overlay->router(0).loss_switches(1);
-  cell.injected_drops = env_.net->stats().dropped_injected;
-  cell.merged_fault_windows = env_.injector->merged_window_count();
-  return cell;
+  return env_.finish_cell(scenario_view(), scheme_, cfg_, delivered_);
 }
 
 std::string SimWorld::report() const {

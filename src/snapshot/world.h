@@ -86,7 +86,6 @@ class SimWorld {
   [[nodiscard]] Scenario scenario_view() const;
   [[nodiscard]] TimePoint measure_start() const { return TimePoint::epoch() + cfg_.warmup; }
   [[nodiscard]] TimePoint end_time() const { return measure_start() + cfg_.measured; }
-  [[nodiscard]] bool send_one(TimePoint t);
 
   // Configuration (immutable after construction).
   std::string scenario_name_;

@@ -1,5 +1,5 @@
 // Trajectory-file parsing shared by the perf benches (bench_hotpath,
-// bench_scale).
+// bench_scale, bench_workload).
 //
 // A trajectory file (BENCH_hotpath.json, BENCH_scale.json) is a JSON
 // array of flat objects, one per committed run, appended over time. The
@@ -14,6 +14,8 @@
 #ifndef RONPATH_UTIL_TRAJECTORY_H_
 #define RONPATH_UTIL_TRAJECTORY_H_
 
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <optional>
@@ -84,6 +86,47 @@ inline double number_field(const std::string& entry, const std::string& key,
 // True when the entry carries the key at all (regardless of value).
 inline bool has_field(const std::string& entry, const std::string& key) {
   return entry.find("\"" + key + "\":") != std::string::npos;
+}
+
+// Scans `entry` for `"key": "<text>"` and returns the unescaped text;
+// nullopt when the key is absent, its value is not a string, or the
+// string is unterminated.
+inline std::optional<std::string> string_field(const std::string& entry, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t at = entry.find(needle);
+  if (at == std::string::npos) return std::nullopt;
+  std::size_t i = entry.find_first_not_of(" \t\r\n", at + needle.size());
+  if (i == std::string::npos || entry[i] != '"') return std::nullopt;
+  std::string out;
+  for (++i; i < entry.size(); ++i) {
+    if (entry[i] == '"') return out;
+    if (entry[i] == '\\' && ++i == entry.size()) break;
+    out += entry[i];
+  }
+  return std::nullopt;
+}
+
+// The --compare checksum gate: a checksum pins what a bench simulated,
+// so a committed `"key": "<16 hex digits>"` that differs from the run's
+// `measured` value means behaviour changed. Prints the verdict; returns
+// false only on drift (an entry without the key has nothing to gate).
+inline bool checksum_matches(const std::string& entry, const std::string& key,
+                             std::uint64_t measured) {
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(measured));
+  const std::optional<std::string> committed = string_field(entry, key);
+  if (!committed) {
+    std::printf("compare %-24s %s (no committed baseline)\n", key.c_str(), hex);
+    return true;
+  }
+  if (*committed == hex) {
+    std::printf("compare %-24s %s (matches committed baseline)\n", key.c_str(), hex);
+    return true;
+  }
+  std::fprintf(stderr,
+               "CHECKSUM DRIFT: %s measured %s, committed %s - simulation behaviour changed\n",
+               key.c_str(), hex, committed->c_str());
+  return false;
 }
 
 }  // namespace ronpath::traj

@@ -11,7 +11,8 @@
 // --csv on benches that would otherwise parse them and run without them.
 //
 // The benches are spawned as real subprocesses, located relative to
-// this test binary (build/tests/.. -> build/bench).
+// this test binary (build/tests/.. -> build/bench). The examples'
+// positional arguments follow the same contract (build/examples).
 
 #include <gtest/gtest.h>
 
@@ -23,7 +24,8 @@
 
 namespace {
 
-std::string bench_dir() {
+// The build tree's `sub` directory, found from this test binary's path.
+std::string build_subdir(const std::string& sub) {
   char buf[4096];
   const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
   if (n <= 0) return {};
@@ -31,10 +33,10 @@ std::string bench_dir() {
   std::string path(buf);
   const std::size_t slash = path.rfind('/');
   if (slash == std::string::npos) return {};
-  path.resize(slash);                      // .../build/tests
+  path.resize(slash);  // .../build/tests
   const std::size_t parent = path.rfind('/');
   if (parent == std::string::npos) return {};
-  return path.substr(0, parent) + "/bench";  // .../build/bench
+  return path.substr(0, parent) + "/" + sub;  // .../build/<sub>
 }
 
 bool exists(const std::string& path) {
@@ -51,8 +53,9 @@ int run_bench(const std::string& exe, const std::string& args) {
   return WEXITSTATUS(rc);
 }
 
-void expect_exit(const std::string& name, const std::string& args, int code) {
-  const std::string exe = bench_dir() + "/" + name;
+void expect_exit(const std::string& name, const std::string& args, int code,
+                 const std::string& dir = "bench") {
+  const std::string exe = build_subdir(dir) + "/" + name;
   ASSERT_TRUE(exists(exe)) << exe << " not built; build all targets before running ctest";
   EXPECT_EQ(run_bench(exe, args), code) << name << " " << args << ": expected exit " << code;
 }
@@ -159,6 +162,14 @@ TEST(BenchStrictArgs, UsedFlagsStillParse) {
   expect_exit("bench_table6_highloss",
               "--days 1 --csv /dev/null --fault-scenario single-site-blackout --help", 0);
   expect_exit("bench_fig2_pathloss_cdf", "--hours 1 --csv /dev/null --help", 0);
+}
+
+// probing_daemon's MINUTES formerly went through std::atoi: "abc" ran
+// zero minutes and "-100" built a negative network horizon.
+TEST(BenchStrictArgs, ProbingDaemonRejectsMalformedMinutes) {
+  for (const char* args : {"abc", "-100", "45x", "0", "99999999999999999999", "5 extra"}) {
+    expect_exit("probing_daemon", args, 2, "examples");
+  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // The bandwidth-capped link-state overlay (DESIGN.md §14): rotation
-// determinism, full-fanout equivalence with the legacy mesh, and the
-// control-budget property under the canonical fault suite.
+// determinism, and the control-budget property under the canonical
+// fault suite on both the capped graph and the full mesh (fanout 0).
 
 #include <gtest/gtest.h>
 
@@ -45,82 +45,60 @@ TEST(CappedOverlay, RotationScheduleDeterministicAcrossRuns) {
   EXPECT_EQ(run_report(cfg), run_report(cfg));
 }
 
-// --------------------------------------------------- full-fanout equivalence
-
-TEST(CappedOverlay, FullFanoutBitwiseEquivalentToLegacyMesh) {
-  // fanout >= n-1 collapses the neighbor graph to the full mesh; the
-  // capped machinery (metering, budget enforcement, stride stamping)
-  // still runs and must be provably inert: byte-identical reports and
-  // field-identical cells against the legacy overlay.
-  FaultMatrixConfig legacy;  // 12-node testbed, full mesh
-  FaultMatrixConfig capped = legacy;
-  capped.overlay_fanout = legacy.node_count - 1;
-
-  EXPECT_EQ(run_report(legacy), run_report(capped));
-
-  const FaultCell a =
-      run_fault_cell(scenario("crash-churn"), FaultScheme::kHybrid, legacy, legacy.seed);
-  const FaultCell b =
-      run_fault_cell(scenario("crash-churn"), FaultScheme::kHybrid, capped, capped.seed);
-  EXPECT_EQ(a.loss_pre_pct, b.loss_pre_pct);
-  EXPECT_EQ(a.loss_fault_pct, b.loss_fault_pct);
-  EXPECT_EQ(a.loss_post_pct, b.loss_post_pct);
-  EXPECT_EQ(a.failover_measured, b.failover_measured);
-  EXPECT_EQ(a.failover_s, b.failover_s);
-  EXPECT_EQ(a.recovery_measured, b.recovery_measured);
-  EXPECT_EQ(a.recovery_s, b.recovery_s);
-  EXPECT_EQ(a.overhead, b.overhead);
-  EXPECT_EQ(a.route_switches, b.route_switches);
-  EXPECT_EQ(a.injected_drops, b.injected_drops);
-}
-
 // ------------------------------------------------------- budget enforcement
 
 TEST(CappedOverlay, BudgetNeverExceededUnderFaultSuite) {
   // Property: across every canonical fault scenario, no node's control
-  // meter ever records a round above its budget, and the runtime
-  // invariant audit stays clean.
-  for (const Scenario& s : canonical_scenarios()) {
-    FaultMatrixConfig cfg = capped_cfg(40, 6);
-    SimWorld world(s, FaultScheme::kHybrid, cfg, cfg.seed);
-    world.run_to_end();
-    const OverlayNetwork& overlay = world.overlay();
-    ASSERT_TRUE(overlay.capped());
-    for (NodeId i = 0; i < static_cast<NodeId>(overlay.size()); ++i) {
-      const ControlMeter& m = overlay.control_meter(i);
-      EXPECT_LE(m.max_round_bytes, overlay.control_budget(i))
-          << std::string(s.name) << " node " << i;
-      EXPECT_GT(m.total_announces, 0) << std::string(s.name) << " node " << i;
+  // meter ever records a round above its budget, the derived budget
+  // never suppresses an announcement, and the runtime invariant audit
+  // stays clean — on the capped graph and on the full mesh alike.
+  for (const std::size_t fanout : {6, 0}) {
+    for (const Scenario& s : canonical_scenarios()) {
+      const std::string where = std::string(s.name) + " fanout " + std::to_string(fanout);
+      FaultMatrixConfig cfg = capped_cfg(40, fanout);
+      SimWorld world(s, FaultScheme::kHybrid, cfg, cfg.seed);
+      world.run_to_end();
+      const OverlayNetwork& overlay = world.overlay();
+      for (NodeId i = 0; i < static_cast<NodeId>(overlay.size()); ++i) {
+        const ControlMeter& m = overlay.control_meter(i);
+        EXPECT_LE(m.max_round_bytes, overlay.control_budget(i)) << where << " node " << i;
+        EXPECT_EQ(m.suppressed, 0) << where << " node " << i;
+        EXPECT_GT(m.total_announces, 0) << where << " node " << i;
+      }
+      std::vector<std::string> violations;
+      world.check_invariants(violations);
+      EXPECT_TRUE(violations.empty())
+          << where << ": " << (violations.empty() ? "" : violations.front());
     }
-    std::vector<std::string> violations;
-    world.check_invariants(violations);
-    EXPECT_TRUE(violations.empty())
-        << std::string(s.name) << ": " << (violations.empty() ? "" : violations.front());
   }
 }
 
 TEST(CappedOverlay, TinyBudgetSuppressesButNeverOverruns) {
-  Topology topo = testbed_2002();
-  Network net(topo, NetConfig::profile_2003(), Duration::hours(2), Rng(42));
-  Scheduler sched;
-  OverlayConfig cfg;
-  cfg.fanout = 4;
-  cfg.landmarks = 2;
-  cfg.control_budget_bytes = static_cast<std::int64_t>(cfg.lsa_entry_bytes);  // one entry/round
-  OverlayNetwork overlay(net, sched, cfg, Rng(43));
-  overlay.start();
-  sched.run_until(TimePoint::epoch() + Duration::minutes(30));
+  // An explicit budget binds on the capped graph and on the full mesh.
+  for (const std::size_t fanout : {4, 0}) {
+    SCOPED_TRACE("fanout " + std::to_string(fanout));
+    Topology topo = testbed_2002();
+    Network net(topo, NetConfig::profile_2003(), Duration::hours(2), Rng(42));
+    Scheduler sched;
+    OverlayConfig cfg;
+    cfg.fanout = fanout;
+    cfg.landmarks = 2;
+    cfg.control_budget_bytes = static_cast<std::int64_t>(cfg.lsa_entry_bytes);  // one entry/round
+    OverlayNetwork overlay(net, sched, cfg, Rng(43));
+    overlay.start();
+    sched.run_until(TimePoint::epoch() + Duration::minutes(30));
 
-  std::int64_t suppressed = 0;
-  for (NodeId i = 0; i < static_cast<NodeId>(overlay.size()); ++i) {
-    const ControlMeter& m = overlay.control_meter(i);
-    EXPECT_LE(m.max_round_bytes, overlay.control_budget(i)) << "node " << i;
-    suppressed += m.suppressed;
+    std::int64_t suppressed = 0;
+    for (NodeId i = 0; i < static_cast<NodeId>(overlay.size()); ++i) {
+      const ControlMeter& m = overlay.control_meter(i);
+      EXPECT_LE(m.max_round_bytes, overlay.control_budget(i)) << "node " << i;
+      suppressed += m.suppressed;
+    }
+    EXPECT_GT(suppressed, 0);  // the cap actually bit
+    std::vector<std::string> violations;
+    overlay.check_invariants(sched.now(), violations);
+    EXPECT_TRUE(violations.empty()) << (violations.empty() ? "" : violations.front());
   }
-  EXPECT_GT(suppressed, 0);  // the cap actually bit
-  std::vector<std::string> violations;
-  overlay.check_invariants(sched.now(), violations);
-  EXPECT_TRUE(violations.empty()) << (violations.empty() ? "" : violations.front());
 }
 
 TEST(CappedOverlay, StrideMatchesDegreeOverFanout) {
@@ -131,7 +109,6 @@ TEST(CappedOverlay, StrideMatchesDegreeOverFanout) {
   cfg.fanout = 4;
   cfg.landmarks = 2;
   OverlayNetwork overlay(net, sched, cfg, Rng(43));
-  ASSERT_TRUE(overlay.capped());
   const NeighborSet& nbrs = overlay.neighbors();
   for (NodeId i = 0; i < static_cast<NodeId>(overlay.size()); ++i) {
     const std::size_t degree = nbrs.degree(i);

@@ -1,6 +1,7 @@
 // Trajectory-file parsing (util/trajectory.h): the --compare baseline
 // must come from the LAST entry only, tolerating rows that predate
-// later-added fields (bench_hotpath's pre-PR6 sharded columns).
+// later-added fields (bench_hotpath's older sharded columns), and the
+// committed checksums it reads must gate the run.
 
 #include "util/trajectory.h"
 
@@ -62,6 +63,29 @@ TEST(Trajectory, EmptyAndTruncatedInputs) {
 TEST(Trajectory, SingleEntryFile) {
   const std::string entry = traj::last_entry(R"({"only": 7.5})");
   EXPECT_EQ(traj::number_field(entry, "only"), 7.5);
+}
+
+TEST(Trajectory, StringFieldReadsQuotedValues) {
+  const std::string entry = traj::last_entry(R"([
+{ "packet_checksum": "1111111111111111" },
+{ "label": "with \" escaped", "packet_checksum":"1603693ed1da7bf7", "packets": 400000 }
+])");
+  EXPECT_EQ(traj::string_field(entry, "packet_checksum"), "1603693ed1da7bf7");
+  EXPECT_EQ(traj::string_field(entry, "label"), "with \" escaped");
+  // Absent keys and non-string values have no string to return.
+  EXPECT_EQ(traj::string_field(entry, "sample_checksum"), std::nullopt);
+  EXPECT_EQ(traj::string_field(entry, "packets"), std::nullopt);
+  // A suffix of another key does not match it.
+  EXPECT_EQ(traj::string_field(entry, "checksum"), std::nullopt);
+  EXPECT_EQ(traj::string_field(R"({"x": "unterminated)", "x"), std::nullopt);
+}
+
+TEST(Trajectory, ChecksumGateFailsOnlyOnDrift) {
+  const std::string entry = R"({"report_checksum_300": "6907612d31dd9585"})";
+  EXPECT_TRUE(traj::checksum_matches(entry, "report_checksum_300", 0x6907612d31dd9585ull));
+  EXPECT_FALSE(traj::checksum_matches(entry, "report_checksum_300", 0x6907612d31dd9586ull));
+  // A tier the baseline never ran has nothing to gate.
+  EXPECT_TRUE(traj::checksum_matches(entry, "report_checksum_3000", 1));
 }
 
 }  // namespace
