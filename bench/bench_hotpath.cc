@@ -30,7 +30,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -42,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "core/testbed.h"
 #include "event/scheduler.h"
 #include "net/config.h"
@@ -57,34 +57,6 @@ double now_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-// Strict integer parsing (the BenchArgs convention): the whole token
-// must be a number in range; garbage and trailing junk exit 2.
-std::int64_t parse_int(const char* flag, const char* text, std::int64_t lo, std::int64_t hi) {
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE || v < lo || v > hi) {
-    std::fprintf(stderr, "%s: expected an integer in [%lld, %lld], got \"%s\"\n", flag,
-                 static_cast<long long>(lo), static_cast<long long>(hi), text);
-    std::exit(2);
-  }
-  return v;
-}
-
-// Strict floating-point parsing for --max-regress: garbage, trailing
-// junk, non-finite and non-positive thresholds exit 2. strtod's silent
-// 0.0 on garbage would turn a typo into an always-failing gate.
-double parse_positive_double(const char* flag, const char* text) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(v) || v <= 0.0) {
-    std::fprintf(stderr, "%s: expected a positive number, got \"%s\"\n", flag, text);
-    std::exit(2);
-  }
-  return v;
 }
 
 struct Result {
@@ -313,6 +285,8 @@ int compare_against(const char* path, const Result& r, std::uint64_t seed, doubl
 }
 
 int run(int argc, char** argv) {
+  using bench::BenchArgs;
+
   std::int64_t n_packets = 400'000;
   std::int64_t n_events = 2'000'000;
   std::int64_t n_samples = 2'000'000;
@@ -337,10 +311,10 @@ int run(int argc, char** argv) {
       n_events = 300'000;
       n_samples = 300'000;
     } else if (arg == "--seed") {
-      seed = static_cast<std::uint64_t>(
-          parse_int("--seed", next(), 0, std::numeric_limits<std::int64_t>::max()));
+      seed = static_cast<std::uint64_t>(BenchArgs::parse_int(
+          "--seed", next(), 0, std::numeric_limits<std::int64_t>::max()));
     } else if (arg == "--reps") {
-      reps = static_cast<int>(parse_int("--reps", next(), 1, 1000));
+      reps = static_cast<int>(BenchArgs::parse_int("--reps", next(), 1, 1000));
     } else if (arg == "--label") {
       label = next();
     } else if (arg == "--out") {
@@ -348,7 +322,8 @@ int run(int argc, char** argv) {
     } else if (arg == "--compare") {
       compare_path = next();
     } else if (arg == "--max-regress") {
-      max_regress = parse_positive_double("--max-regress", next());
+      max_regress = BenchArgs::parse_double("--max-regress", next(),
+                                            std::numeric_limits<double>::min(), 1e6);
     } else if (arg == "--help") {
       std::printf("usage: %s [--quick] [--reps N] [--seed S] [--label NAME] [--out PATH] "
                   "[--compare FILE] [--max-regress F]\n",

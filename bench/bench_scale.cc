@@ -16,10 +16,11 @@
 //                must stay flat (within 2x) from 30 to 3000 nodes —
 //                the bench exits 1 when it does not;
 //   memory     : OverlayNetwork::state_bytes() (resident overlay state,
-//                O(n*fanout)), materialized underlay components (lazy
-//                mode at 1000+ nodes), and the process VmHWM peak RSS
-//                read from /proc/self/status (cumulative across tiers;
-//                0 off Linux).
+//                O(n*fanout)), underlay components built (cores are
+//                built on first traversal, so only the pairs the capped
+//                overlay probes or routes over), and the process VmHWM
+//                peak RSS read from /proc/self/status (cumulative across
+//                tiers; 0 off Linux).
 //
 // Every run is a fixed-seed pure function, so per-tier report checksums
 // must agree across --reps; only wall clock may vary (best rep wins).
@@ -27,7 +28,8 @@
 // BENCH_scale.json); --compare reads the committed trajectory and exits
 // 1 when packets/sec or events/sec of any tier measured this run
 // regressed by more than --max-regress x against the LAST entry (tiers
-// absent on either side are skipped), or when a tier's report checksum
+// absent on either side are skipped; a tier key whose value is not a
+// positive number exits 2), or when a tier's report checksum
 // differs from the committed one for the same fanout, landmarks, seed
 // and run length.
 //
@@ -40,7 +42,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -50,6 +51,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "core/fault_matrix.h"
 #include "fault/scenarios.h"
 #include "snapshot/codec.h"
@@ -64,34 +66,6 @@ double now_seconds() {
       .count();
 }
 
-// Strict integer parsing (the BenchArgs convention): the whole token
-// must be a number in range; garbage and zero exit 2.
-std::int64_t parse_int(const char* flag, const char* text, std::int64_t lo, std::int64_t hi) {
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE || v < lo || v > hi) {
-    std::fprintf(stderr, "%s: expected an integer in [%lld, %lld], got \"%s\"\n", flag,
-                 static_cast<long long>(lo), static_cast<long long>(hi), text);
-    std::exit(2);
-  }
-  return v;
-}
-
-// Strict floating-point parsing for --max-regress: garbage, trailing
-// junk, non-finite and non-positive thresholds exit 2. strtod's silent
-// 0.0 on garbage would turn a typo into an always-failing gate.
-double parse_positive_double(const char* flag, const char* text) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(v) || v <= 0.0) {
-    std::fprintf(stderr, "%s: expected a positive number, got \"%s\"\n", flag, text);
-    std::exit(2);
-  }
-  return v;
-}
-
 // Parses a comma-separated tier list ("30,300,3000"), each strict.
 std::vector<std::size_t> parse_tiers(const char* text) {
   std::vector<std::size_t> tiers;
@@ -101,7 +75,8 @@ std::vector<std::size_t> parse_tiers(const char* text) {
     const std::size_t comma = std::min(s.find(',', pos), s.size());
     const std::string tok = s.substr(pos, comma - pos);
     // NodeId is 16-bit with two sentinel values; 65'000 leaves headroom.
-    tiers.push_back(static_cast<std::size_t>(parse_int("--nodes", tok.c_str(), 8, 65'000)));
+    tiers.push_back(
+        static_cast<std::size_t>(bench::BenchArgs::parse_int("--nodes", tok.c_str(), 8, 65'000)));
     pos = comma + 1;
     if (comma == s.size()) break;
   }
@@ -143,7 +118,6 @@ struct TierResult {
   std::size_t materialized = 0;
   std::size_t components = 0;
   std::int64_t vm_hwm_kb = 0;
-  bool lazy = false;
   FaultCell cell;
   std::uint64_t report_checksum = 0;
 };
@@ -155,7 +129,6 @@ FaultMatrixConfig tier_config(std::size_t nodes, std::size_t fanout, std::size_t
   cfg.synth_nodes = nodes;
   cfg.overlay_fanout = std::min(fanout, nodes - 1);
   cfg.overlay_landmarks = std::min(landmarks, nodes);
-  cfg.lazy_underlay = nodes >= 1000;  // eager construction is the 1k+ memory wall
   if (quick) cfg.measured = Duration::minutes(10);
   return cfg;
 }
@@ -166,7 +139,6 @@ FaultMatrixConfig tier_config(std::size_t nodes, std::size_t fanout, std::size_t
 TierResult run_tier(const Scenario& scenario, const FaultMatrixConfig& cfg) {
   TierResult r;
   r.nodes = cfg.synth_nodes;
-  r.lazy = cfg.lazy_underlay;
 
   const double t0 = now_seconds();
   SimWorld world(scenario, FaultScheme::kHybrid, cfg, cfg.seed);
@@ -267,7 +239,11 @@ int compare_against(const char* path, const std::vector<TierResult>& tiers,
     for (const auto& c : checks) {
       if (!traj::has_field(entry, c.key)) continue;  // tier absent in the baseline
       const double committed = traj::number_field(entry, c.key);
-      if (committed <= 0.0 || c.measured <= 0.0) continue;
+      if (committed <= 0.0) {
+        std::fprintf(stderr, "--compare: %s in the last entry of %s is not a positive number\n",
+                     c.key.c_str(), path);
+        return 2;
+      }
       const double ratio = committed / c.measured;
       std::printf("compare %-24s measured %12.1f committed %12.1f (%.2fx %s)\n", c.key.c_str(),
                   c.measured, committed, ratio > 1.0 ? ratio : 1.0 / ratio,
@@ -302,6 +278,8 @@ int compare_against(const char* path, const std::vector<TierResult>& tiers,
 }
 
 int run(int argc, char** argv) {
+  using bench::BenchArgs;
+
   std::vector<std::size_t> tiers;
   std::size_t fanout = 16;
   std::size_t landmarks = 8;
@@ -325,14 +303,15 @@ int run(int argc, char** argv) {
     if (arg == "--nodes") {
       tiers = parse_tiers(next());
     } else if (arg == "--fanout") {
-      fanout = static_cast<std::size_t>(parse_int("--fanout", next(), 1, 65'534));
+      fanout = static_cast<std::size_t>(BenchArgs::parse_int("--fanout", next(), 1, 65'534));
     } else if (arg == "--landmarks") {
-      landmarks = static_cast<std::size_t>(parse_int("--landmarks", next(), 0, 65'534));
+      landmarks =
+          static_cast<std::size_t>(BenchArgs::parse_int("--landmarks", next(), 0, 65'534));
     } else if (arg == "--seed") {
-      seed = static_cast<std::uint64_t>(
-          parse_int("--seed", next(), 0, std::numeric_limits<std::int64_t>::max()));
+      seed = static_cast<std::uint64_t>(BenchArgs::parse_int(
+          "--seed", next(), 0, std::numeric_limits<std::int64_t>::max()));
     } else if (arg == "--reps") {
-      reps = static_cast<int>(parse_int("--reps", next(), 1, 100));
+      reps = static_cast<int>(BenchArgs::parse_int("--reps", next(), 1, 100));
     } else if (arg == "--quick") {
       quick = true;
     } else if (arg == "--label") {
@@ -342,7 +321,8 @@ int run(int argc, char** argv) {
     } else if (arg == "--compare") {
       compare_path = next();
     } else if (arg == "--max-regress") {
-      max_regress = parse_positive_double("--max-regress", next());
+      max_regress = BenchArgs::parse_double("--max-regress", next(),
+                                            std::numeric_limits<double>::min(), 1e6);
     } else if (arg == "--help") {
       std::printf("usage: %s [--nodes N[,N...]] [--fanout K] [--landmarks L] [--seed S] "
                   "[--reps N] [--label NAME] [--quick] [--out PATH] "
@@ -382,11 +362,11 @@ int run(int argc, char** argv) {
       }
     }
     std::printf("%5zu nodes: %7.2fs wall, %10.1f pkt/s, %10.1f ev/s, "
-                "%7.2f control B/s/node, %zu KiB overlay state, %zu/%zu components%s, "
+                "%7.2f control B/s/node, %zu KiB overlay state, %zu/%zu components, "
                 "loss(fault) %.2f%%, failover %.2fs, checksum %016llx\n",
                 n, best.wall_s, best.packets_per_sec, best.events_per_sec,
                 best.control_bps_per_node, best.state_bytes / 1024, best.materialized,
-                best.components, best.lazy ? " (lazy)" : "", best.cell.loss_fault_pct,
+                best.components, best.cell.loss_fault_pct,
                 best.cell.failover_s, static_cast<unsigned long long>(best.report_checksum));
     results.push_back(best);
   }

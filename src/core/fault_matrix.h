@@ -68,7 +68,8 @@ struct FaultMatrixConfig {
   // announcements + landmarks); 0 keeps the full mesh.
   std::size_t overlay_fanout = 0;
   std::size_t overlay_landmarks = 8;
-  // Materialize underlay cores on first traversal (scale runs only).
+  // No effect: every underlay core is built on first traversal. Kept only
+  // so existing callers that still set it compile.
   bool lazy_underlay = false;
 };
 

@@ -182,14 +182,6 @@ struct NetConfig {
   // Scheduled incidents (latency pathologies, loss storms).
   std::vector<Incident> incidents;
 
-  // Materialize core (pair) components on first traversal instead of
-  // eagerly. The n*(n-1) core grid dominates construction time and
-  // memory at 1000+ nodes, while a capped overlay only ever touches the
-  // O(n * fanout) pairs it probes or routes through. Identical draws and
-  // timelines for every component that is touched (construction forks
-  // are keyed, not sequenced).
-  bool lazy_components = false;
-
   // Resolved parameters for a component of the given topology (applies
   // class tables, up/down asymmetry, intl/Korea factors and loss_scale).
   [[nodiscard]] ComponentParams params_for(const Topology& topo, std::size_t component) const;

@@ -9,15 +9,20 @@
 // mechanism behind the paper's correlated-loss findings - while spacing
 // packets in time (dd 10 ms / dd 20 ms) or routing the second copy around
 // a component de-correlates them exactly as in Section 4.4.
+//
+// The site components are built with the network; each of the n*(n-1)
+// core (site-pair) components is built the first time a packet reaches
+// it, so a capped overlay that only probes and routes over O(n * fanout)
+// pairs never pays for the rest of the grid. Construction forks are
+// keyed by component index, so the build order never changes a draw.
 
 #ifndef RONPATH_NET_NETWORK_H_
 #define RONPATH_NET_NETWORK_H_
 
 #include <cstdint>
-#include <memory>
+#include <deque>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "net/config.h"
@@ -113,18 +118,13 @@ class Network {
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
-  // Test hook: the process driving a component's loss state (materializes
-  // it first under lazy_components).
-  [[nodiscard]] ComponentProcess& component(std::size_t index) {
-    return component_at(index);
-  }
+  // Test hook: the process driving a component's loss state (builds a
+  // core on first touch, exactly as a packet reaching it would).
+  [[nodiscard]] ComponentProcess& component(std::size_t index) { return slot(index).proc; }
   [[nodiscard]] std::size_t component_count() const { return topo_.component_count(); }
-  // Lazy-components mode: cores materialized so far (== component_count()
-  // minus never-traversed cores; everything in eager mode).
-  [[nodiscard]] std::size_t materialized_components() const {
-    return components_.size() + cores_.size();
-  }
-  [[nodiscard]] bool lazy_components() const { return lazy_ != nullptr; }
+  // Components built so far: every site component plus the cores some
+  // packet (or component()) has reached.
+  [[nodiscard]] std::size_t materialized_components() const { return slots_.size(); }
 
   // Snapshot support: serializes the mutable state (per-component
   // timelines, packet Rng, drop statistics, monotonicity watermark).
@@ -157,49 +157,43 @@ class Network {
     bool has_additions = false;
   };
 
-  // Lazy-components machinery (config_.lazy_components): site components
-  // stay eager in components_; core (pair) components materialize on
-  // first touch from keyed construction forks, so the untouched bulk of
-  // the n*(n-1) grid costs nothing. Construction of a touched core is
-  // bit-identical to the eager ctor's.
+  // One underlay component: its timeline, the per-hop constants and its
+  // incident latency additions.
+  struct Slot {
+    ComponentProcess proc;
+    HopMeta meta;
+    std::vector<LatencyAddition> additions;
+  };
   struct SiteEvent {
     TimePoint start;
     TimePoint end;
     std::uint64_t seq;
   };
-  struct LazyCtx {
-    Rng quality_rng;     // fork("core-quality")
-    Rng stretch_rng;     // fork("core-stretch")
-    Rng hit_root;        // fork("event-hits")
-    Rng component_root;  // fork("component")
-    std::vector<std::vector<SiteEvent>> site_events;
-  };
-  struct CoreState {
-    ComponentProcess proc;
-    HopMeta meta;
-    std::vector<LatencyAddition> additions;
-  };
 
-  // Materializes (if needed) and returns the lazy core state for a core
-  // component index. Pre: lazy mode and index >= site component count.
-  [[nodiscard]] CoreState& core_at(std::size_t component);
-  [[nodiscard]] ComponentProcess& component_at(std::size_t component);
-  [[nodiscard]] const HopMeta& hop_meta_at(std::size_t component);
-  [[nodiscard]] const std::vector<LatencyAddition>& additions_at(std::size_t component);
+  // Builds component `ci` from its keyed construction forks, appends it
+  // to slots_ and returns it. Keyed (not sequenced) forks make a
+  // component's state independent of which components were built
+  // before it. Pre: `ci` not built yet.
+  Slot& build(std::size_t ci);
+  // Component `ci`, building a core the first time a packet reaches it.
+  [[nodiscard]] Slot& slot(std::size_t ci);
 
-  [[nodiscard]] Duration hop_delay(std::size_t component, const ComponentSample& s,
-                                   TimePoint t);
+  [[nodiscard]] Duration hop_delay(const Slot& c, const ComponentSample& s, TimePoint t);
 
   Topology topo_;
   NetConfig config_;
-  // Eager mode: every component, indexed by component id. Lazy mode:
-  // site components only; cores live in cores_.
-  std::vector<ComponentProcess> components_;
-  std::vector<HopMeta> hop_meta_;
-  std::vector<std::vector<LatencyAddition>> latency_additions_;
-  std::vector<double> core_stretch_;  // eager mode only; lazy recomputes
-  std::unique_ptr<LazyCtx> lazy_;    // non-null => lazy core materialization
-  std::unordered_map<std::size_t, CoreState> cores_;  // lazy mode only
+  // Construction forks and the pregenerated provider events build() reads.
+  Rng quality_rng_;     // fork("core-quality")
+  Rng stretch_rng_;     // fork("core-stretch")
+  Rng hit_root_;        // fork("event-hits")
+  Rng component_root_;  // fork("component")
+  std::vector<std::vector<SiteEvent>> site_events_;
+  // Built components: the site components at their own indices, then the
+  // cores in build order. A deque keeps references valid as cores append.
+  std::deque<Slot> slots_;
+  // Per core (component index - site_comp_count_): its position in
+  // slots_, 0 = not built yet (position 0 always holds a site).
+  std::vector<std::uint32_t> core_slot_;
   std::size_t site_comp_count_ = 0;  // kSiteCompCount * n
   Rng pkt_rng_;
   Stats stats_;

@@ -14,9 +14,11 @@
 #ifndef RONPATH_UTIL_TRAJECTORY_H_
 #define RONPATH_UTIL_TRAJECTORY_H_
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -73,14 +75,22 @@ inline std::string last_entry(const std::string& text) {
 }
 
 // Scans `entry` for `"key": <number>` and returns the first value, or
-// `fallback` when the key is absent. Keys in our trajectory entries are
-// unique per object, so first == only.
+// `fallback` when the key is absent or its whole value token is not a
+// finite number (`null`, a quoted number, trailing garbage). Keys in our
+// trajectory entries are unique per object, so first == only.
 inline double number_field(const std::string& entry, const std::string& key,
                            double fallback = -1.0) {
   const std::string needle = "\"" + key + "\":";
   const std::size_t at = entry.find(needle);
   if (at == std::string::npos) return fallback;
-  return std::strtod(entry.c_str() + at + needle.size(), nullptr);
+  const char* begin = entry.c_str() + at + needle.size();
+  char* end = nullptr;
+  const double v = std::strtod(begin, &end);
+  const char* rest = end + std::strspn(end, " \t\r\n");
+  if (end == begin || (*rest != ',' && *rest != '}' && *rest != '\0') || !std::isfinite(v)) {
+    return fallback;
+  }
+  return v;
 }
 
 // True when the entry carries the key at all (regardless of value).

@@ -12,7 +12,8 @@
 //
 // The benches are spawned as real subprocesses, located relative to
 // this test binary (build/tests/.. -> build/bench). The examples'
-// positional arguments follow the same contract (build/examples).
+// positional arguments follow the same contract (build/examples), and so
+// does the soak tool (build/tools).
 
 #include <gtest/gtest.h>
 
@@ -162,6 +163,12 @@ TEST(BenchStrictArgs, UsedFlagsStillParse) {
   expect_exit("bench_table6_highloss",
               "--days 1 --csv /dev/null --fault-scenario single-site-blackout --help", 0);
   expect_exit("bench_fig2_pathloss_cdf", "--hours 1 --csv /dev/null --help", 0);
+}
+
+// Every underlay core is built on first touch; the soak tool's old
+// lazy-underlay switch is gone and must not be silently accepted.
+TEST(BenchStrictArgs, RemovedLazyFlagExitsTwo) {
+  expect_exit("soak", "--quick --lazy", 2, "tools");
 }
 
 // probing_daemon's MINUTES formerly went through std::atoi: "abc" ran

@@ -109,6 +109,31 @@ TEST(Network, DeterministicAcrossInstances) {
 
 // Back-to-back packets share burst fate: conditional loss far above the
 // unconditional rate (the paper's central same-path observation).
+TEST(Network, CoreStateIndependentOfBuildOrder) {
+  // Cores are built on first touch from forks keyed by component index,
+  // so the order in which traffic first reaches them never changes a draw.
+  Network up = make_net(11);
+  Network down = make_net(11);
+  const std::size_t first_core = kSiteCompCount * up.topology().size();
+  const std::size_t n = up.component_count();
+  for (std::size_t ci = first_core; ci < n; ++ci) (void)up.component(ci);
+  for (std::size_t ci = n; ci-- > first_core;) (void)down.component(ci);
+  EXPECT_EQ(up.materialized_components(), n);
+  EXPECT_EQ(down.materialized_components(), n);
+
+  for (std::size_t ci = first_core; ci < n; ++ci) {
+    ComponentProcess& a = up.component(ci);
+    ComponentProcess& b = down.component(ci);
+    for (int i = 0; i < 200; ++i) {
+      const TimePoint t = TimePoint::epoch() + Duration::seconds(i * 60);
+      ASSERT_EQ(a.sample(t), b.sample(t)) << "component " << ci << " at minute " << i;
+    }
+    const ComponentId id = up.topology().component(ci);
+    const PathSpec direct{id.a, id.b, kDirectVia};
+    EXPECT_EQ(up.base_latency(direct), down.base_latency(direct)) << "component " << ci;
+  }
+}
+
 TEST(Network, BackToBackLossIsCorrelated) {
   Network net = make_net(11, Duration::hours(7));
   Rng rng(3);

@@ -43,6 +43,25 @@ TEST(Trajectory, MissingFieldFallsBackInsteadOfLeakingOlderEntries) {
   EXPECT_TRUE(traj::has_field(entry, "packets_per_sec"));
 }
 
+TEST(Trajectory, NonNumericValueFallsBackInsteadOfReadingZero) {
+  // strtod alone reads each of these as 0, which bench_scale --compare
+  // took as "no baseline" and skipped the tier's throughput gate.
+  const std::string entry = R"({
+  "packets_per_sec_300": null,
+  "packets_per_sec_30": "1234.5",
+  "events_per_sec_300": 12abc,
+  "events_per_sec_30": nan,
+  "wall_s_300": 4.5
+})";
+  EXPECT_EQ(traj::number_field(entry, "packets_per_sec_300"), -1.0);
+  EXPECT_EQ(traj::number_field(entry, "packets_per_sec_30"), -1.0);
+  EXPECT_EQ(traj::number_field(entry, "events_per_sec_300"), -1.0);
+  EXPECT_EQ(traj::number_field(entry, "events_per_sec_30", 0.5), 0.5);
+  EXPECT_TRUE(traj::has_field(entry, "packets_per_sec_300"));
+  // The last value in an object ends at whitespace and the brace.
+  EXPECT_EQ(traj::number_field(entry, "wall_s_300"), 4.5);
+}
+
 TEST(Trajectory, BracesInsideStringsDoNotConfuseMatching) {
   const std::string text = R"([
 { "label": "a } fake { close", "x": 1.0 },

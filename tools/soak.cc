@@ -66,7 +66,6 @@ struct SoakOptions {
   std::size_t synth_nodes = 0;          // > 0: synthetic hierarchical topology
   std::size_t fanout = 0;               // > 0: bandwidth-capped overlay
   std::size_t landmarks = 8;
-  bool lazy = false;  // materialize underlay cores on demand
   bool audit = true;
   bool verify = false;
   bool workload = false;  // soak a WorkloadWorld instead of a SimWorld
@@ -80,7 +79,7 @@ struct SoakOptions {
       "usage: soak [--scenario NAME|day-stream|FILE] [--scheme direct|reactive|mesh|hybrid]\n"
       "            [--seed N] [--nodes N] [--hours H] [--send-interval-ms M]\n"
       "            [--checkpoint-every SENDS] [--kill-every K] [--no-audit]\n"
-      "            [--synth-nodes N] [--fanout K] [--landmarks L] [--lazy]\n"
+      "            [--synth-nodes N] [--fanout K] [--landmarks L]\n"
       "            [--snapshot-dir DIR] [--verify] [--quick]\n"
       "            [--workload] [--policy probe-only|static-2x|adaptive]\n");
   std::exit(code);
@@ -150,8 +149,6 @@ SoakOptions parse_args(int argc, char** argv) {
       opt.fanout = static_cast<std::size_t>(parse_int("--fanout", next(), 1, 65'534));
     } else if (arg == "--landmarks") {
       opt.landmarks = static_cast<std::size_t>(parse_int("--landmarks", next(), 0, 65'534));
-    } else if (arg == "--lazy") {
-      opt.lazy = true;
     } else if (arg == "--no-audit") {
       opt.audit = false;
     } else if (arg == "--snapshot-dir") {
@@ -332,7 +329,6 @@ int main(int argc, char** argv) {
   cfg.synth_nodes = opt.synth_nodes;
   cfg.overlay_fanout = opt.fanout;
   cfg.overlay_landmarks = opt.landmarks;
-  cfg.lazy_underlay = opt.lazy;
   std::string dsl_storage;
   const Scenario scenario = resolve_scenario(opt, cfg, dsl_storage);
 
