@@ -21,7 +21,7 @@ FaultInjector::FaultInjector(const FaultSchedule& schedule, const Topology& topo
                              Duration horizon)
     : schedule_(schedule) {
   const std::size_t n = topology.size();
-  component_windows_.resize(topology.component_count());
+  std::vector<std::pair<std::size_t, Window>> component_windows;
   blackhole_windows_.resize(n);
   lsa_windows_.resize(n);
   crash_windows_.resize(n);
@@ -70,24 +70,33 @@ FaultInjector::FaultInjector(const FaultSchedule& schedule, const Topology& topo
     }
 
     for (TimePoint s : starts) {
-      for (std::size_t ci : components) add_window(component_windows_[ci], s, f.duration);
+      for (std::size_t ci : components) component_windows.push_back({ci, {s, s + f.duration}});
       if (node_table) {
         for (NodeId node : f.sites) {
           require_site(node, n, "node");
-          add_window((*node_table)[node], s, f.duration);
+          (*node_table)[node].push_back({s, s + f.duration});
         }
       }
     }
   }
 
-  merged_window_count_ += finalize(component_windows_);
+  // Group the component windows by component, in index order.
+  std::stable_sort(component_windows.begin(), component_windows.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  faulted_bits_.assign((topology.component_count() + 63) / 64, 0);
+  for (const auto& [ci, win] : component_windows) {
+    if (faulted_.empty() || faulted_.back() != ci) {
+      faulted_.push_back(ci);
+      faulted_windows_.emplace_back();
+      faulted_bits_[ci / 64] |= std::uint64_t{1} << (ci % 64);
+    }
+    faulted_windows_.back().push_back(win);
+  }
+
+  merged_window_count_ += finalize(faulted_windows_);
   merged_window_count_ += finalize(blackhole_windows_);
   merged_window_count_ += finalize(lsa_windows_);
   merged_window_count_ += finalize(crash_windows_);
-}
-
-void FaultInjector::add_window(Windows& w, TimePoint start, Duration dur) {
-  w.push_back({start, start + dur});
 }
 
 std::int64_t FaultInjector::finalize(std::vector<Windows>& table) {
@@ -119,7 +128,9 @@ bool FaultInjector::covered(const Windows& w, TimePoint t) {
 }
 
 bool FaultInjector::component_down(std::size_t component, TimePoint t) const {
-  return covered(component_windows_[component], t);
+  if (((faulted_bits_[component / 64] >> (component % 64)) & 1) == 0) return false;
+  const auto it = std::lower_bound(faulted_.begin(), faulted_.end(), component);
+  return covered(faulted_windows_[static_cast<std::size_t>(it - faulted_.begin())], t);
 }
 
 bool FaultInjector::probe_blackhole(NodeId node, TimePoint t) const {
@@ -134,10 +145,6 @@ bool FaultInjector::node_crashed(NodeId node, TimePoint t) const {
   return node < crash_windows_.size() && covered(crash_windows_[node], t);
 }
 
-std::size_t FaultInjector::faulted_component_count() const {
-  std::size_t count = 0;
-  for (const Windows& w : component_windows_) count += w.empty() ? 0 : 1;
-  return count;
-}
+std::size_t FaultInjector::faulted_component_count() const { return faulted_.size(); }
 
 }  // namespace ronpath

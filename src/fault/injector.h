@@ -1,11 +1,17 @@
-// Compiles a FaultSchedule against a concrete topology into O(log n)
-// time-indexed queries, and implements the net-layer FaultHook.
+// Compiles a FaultSchedule against a concrete topology into time-indexed
+// queries, and implements the net-layer FaultHook.
 //
 // Compilation expands every spec - including periodic ones, up to the
-// horizon - into per-component and per-node sorted, merged activation
-// windows. Queries are pure binary searches over immutable data, so the
-// injector is safe to share by const reference and its answers are a
-// deterministic function of (schedule, topology, horizon) alone.
+// horizon - into sorted, merged activation windows per faulted
+// component and per node. Components are kept sparse: one bit per
+// component marks the faulted ones, and only those carry a window list
+// (in a list sorted by component index). The common answer, "this
+// component is never faulted", is one bit test; a faulted component
+// costs a binary search over the faulted list and then over its windows.
+// Node queries binary-search per-node window lists. Everything is
+// immutable after construction, so the injector is safe to share by
+// const reference and its answers are a deterministic function of
+// (schedule, topology, horizon) alone.
 //
 // Integration points:
 //   Network::set_fault_hook        - component blackouts + probe blackhole
@@ -57,7 +63,6 @@ class FaultInjector final : public FaultHook {
   };
   using Windows = std::vector<Window>;
 
-  static void add_window(Windows& w, TimePoint start, Duration dur);
   // Sorts and coalesces each window list; returns how many windows were
   // folded into a predecessor.
   static std::int64_t finalize(std::vector<Windows>& table);
@@ -65,10 +70,12 @@ class FaultInjector final : public FaultHook {
 
   FaultSchedule schedule_;
   std::int64_t merged_window_count_ = 0;
-  std::vector<Windows> component_windows_;  // [component index]
-  std::vector<Windows> blackhole_windows_;  // [node]
-  std::vector<Windows> lsa_windows_;        // [node]
-  std::vector<Windows> crash_windows_;      // [node]
+  std::vector<std::uint64_t> faulted_bits_;  // bit per component: has windows
+  std::vector<std::size_t> faulted_;         // faulted component indices, sorted
+  std::vector<Windows> faulted_windows_;     // [rank in faulted_]
+  std::vector<Windows> blackhole_windows_;   // [node]
+  std::vector<Windows> lsa_windows_;         // [node]
+  std::vector<Windows> crash_windows_;       // [node]
 };
 
 }  // namespace ronpath

@@ -1,24 +1,52 @@
 #include "overlay/estimator.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <stdexcept>
 
 #include "snapshot/codec.h"
 
 namespace ronpath {
 
-void WindowLossEstimator::record(bool lost) {
-  outcomes_.push_back(lost);
-  if (lost) ++lost_in_window_;
-  if (outcomes_.size() > window_) {
-    if (outcomes_.front()) --lost_in_window_;
-    outcomes_.pop_front();
+WindowLossEstimator::WindowLossEstimator(std::size_t window)
+    : window_(static_cast<std::uint8_t>(window)) {
+  if (window < 1 || window > kMaxWindow) {
+    throw std::invalid_argument("loss window of " + std::to_string(window) +
+                                " probes is outside [1, " + std::to_string(kMaxWindow) + "]");
   }
 }
 
+void WindowLossEstimator::set_bit(std::size_t pos, bool v) {
+  const std::uint64_t mask = std::uint64_t{1} << (pos & 63);
+  bits_[pos >> 6] = v ? (bits_[pos >> 6] | mask) : (bits_[pos >> 6] & ~mask);
+}
+
+void WindowLossEstimator::record(bool lost) {
+  if (count_ < window_) {
+    std::size_t pos = head_ + count_;
+    if (pos >= window_) pos -= window_;
+    set_bit(pos, lost);
+    ++count_;
+  } else {
+    // Full: the newest outcome overwrites the oldest.
+    lost_ = static_cast<std::uint8_t>(lost_ - (bit(head_) ? 1 : 0));
+    set_bit(head_, lost);
+    head_ = static_cast<std::uint8_t>(head_ + 1 == window_ ? 0 : head_ + 1);
+  }
+  if (lost) ++lost_;
+}
+
 double WindowLossEstimator::loss() const {
-  if (outcomes_.empty()) return 0.0;
-  return static_cast<double>(lost_in_window_) / static_cast<double>(outcomes_.size());
+  if (count_ == 0) return 0.0;
+  return static_cast<double>(lost_) / static_cast<double>(count_);
+}
+
+bool WindowLossEstimator::outcome(std::size_t i) const {
+  assert(i < count_);
+  std::size_t pos = head_ + i;
+  if (pos >= window_) pos -= window_;
+  return bit(pos);
 }
 
 void EwmaLossEstimator::record(bool lost) {
@@ -75,11 +103,11 @@ void LinkEstimator::record_followup(bool lost, TimePoint now) {
 void LinkEstimator::save_state(snap::Encoder& e) const {
   e.tag("LEST");
   // Window outcomes, bit-packed oldest-first.
-  e.u64(loss_.outcomes_.size());
+  e.u64(loss_.samples());
   std::uint8_t byte = 0;
   int filled = 0;
-  for (const bool lost : loss_.outcomes_) {
-    byte = static_cast<std::uint8_t>(byte | ((lost ? 1u : 0u) << filled));
+  for (std::size_t i = 0; i < loss_.samples(); ++i) {
+    byte = static_cast<std::uint8_t>(byte | ((loss_.outcome(i) ? 1u : 0u) << filled));
     if (++filled == 8) {
       e.u8(byte);
       byte = 0;
@@ -87,7 +115,7 @@ void LinkEstimator::save_state(snap::Encoder& e) const {
     }
   }
   if (filled > 0) e.u8(byte);
-  e.u64(loss_.lost_in_window_);
+  e.u64(loss_.lost_);
   e.f64(ewma_.value_);
   e.b(ewma_.have_);
   e.f64(latency_.value_ms_);
@@ -107,13 +135,22 @@ void LinkEstimator::restore_state(snap::Decoder& d) {
                               " outcomes but is configured for " +
                               std::to_string(loss_.window_));
   }
-  loss_.outcomes_.clear();
+  loss_.bits_ = {};
+  loss_.head_ = 0;
+  loss_.count_ = static_cast<std::uint8_t>(n);
   std::uint8_t byte = 0;
   for (std::uint64_t i = 0; i < n; ++i) {
     if (i % 8 == 0) byte = d.u8();
-    loss_.outcomes_.push_back((byte >> (i % 8)) & 1);
+    loss_.set_bit(i, (byte >> (i % 8)) & 1);
   }
-  loss_.lost_in_window_ = d.u64();
+  const std::uint64_t lost = d.u64();
+  const auto ones = static_cast<std::uint64_t>(std::popcount(loss_.bits_[0]) +
+                                               std::popcount(loss_.bits_[1]));
+  if (lost != ones) {
+    throw snap::SnapshotError("snapshot: loss window counts " + std::to_string(lost) +
+                              " lost probes but holds " + std::to_string(ones));
+  }
+  loss_.lost_ = static_cast<std::uint8_t>(lost);
   ewma_.value_ = d.f64();
   ewma_.have_ = d.b();
   latency_.value_ms_ = d.f64();
@@ -127,13 +164,14 @@ void LinkEstimator::restore_state(snap::Decoder& d) {
 
 void LinkEstimator::check_invariants(const std::string& who, TimePoint now,
                                      std::vector<std::string>& out) const {
-  if (loss_.outcomes_.size() > loss_.window_) {
+  if (loss_.count_ > loss_.window_ || loss_.head_ >= loss_.window_) {
     out.push_back(who + ": loss window overfull");
-  }
-  std::size_t lost = 0;
-  for (const bool l : loss_.outcomes_) lost += l ? 1 : 0;
-  if (lost != loss_.lost_in_window_) {
-    out.push_back(who + ": lost_in_window counter out of sync with the window contents");
+  } else {
+    std::size_t lost = 0;
+    for (std::size_t i = 0; i < loss_.samples(); ++i) lost += loss_.outcome(i) ? 1 : 0;
+    if (lost != loss_.lost_) {
+      out.push_back(who + ": lost_in_window counter out of sync with the window contents");
+    }
   }
   const double l = loss();
   if (!(l >= 0.0 && l <= 1.0)) out.push_back(who + ": loss estimate outside [0,1]");

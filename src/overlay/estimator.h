@@ -12,7 +12,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -25,21 +24,35 @@ class Encoder;
 class Decoder;
 }  // namespace snap
 
-// Average loss over a sliding window of the most recent probe outcomes.
+// Average loss over a sliding window of the most recent probe outcomes,
+// held inline as a bit ring (one per overlay link, so no heap chunk per
+// window). Windows outside [1, kMaxWindow] throw std::invalid_argument.
 class WindowLossEstimator {
  public:
-  explicit WindowLossEstimator(std::size_t window = 100) : window_(window) {}
+  static constexpr std::size_t kMaxWindow = 128;
+
+  explicit WindowLossEstimator(std::size_t window = 100);
 
   void record(bool lost);
   // Loss estimate in [0,1]; optimistic 0 before any samples.
   [[nodiscard]] double loss() const;
-  [[nodiscard]] std::size_t samples() const { return outcomes_.size(); }
+  [[nodiscard]] std::size_t samples() const { return count_; }
+  // The i-th oldest outcome in the window (i < samples()).
+  [[nodiscard]] bool outcome(std::size_t i) const;
 
  private:
-  friend class LinkEstimator;  // snapshot save/restore reaches the raw window
-  std::size_t window_;
-  std::deque<bool> outcomes_;
-  std::size_t lost_in_window_ = 0;
+  friend class LinkEstimator;  // snapshot restore refills the raw ring
+
+  [[nodiscard]] bool bit(std::size_t pos) const { return (bits_[pos >> 6] >> (pos & 63)) & 1u; }
+  void set_bit(std::size_t pos, bool v);
+
+  // Ring slots [0, window_); the oldest outcome sits at head_. Slots not
+  // holding an outcome are zero, so lost_ is the ring's popcount.
+  std::array<std::uint64_t, 2> bits_{};
+  std::uint8_t window_;
+  std::uint8_t head_ = 0;
+  std::uint8_t count_ = 0;
+  std::uint8_t lost_ = 0;
 };
 
 // Exponentially weighted loss average (ablation alternative).

@@ -1,5 +1,6 @@
 #include "overlay/link_state.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "snapshot/codec.h"
@@ -22,6 +23,7 @@ LinkStateTable::LinkStateTable(std::size_t n_nodes)
 
 LinkStateTable::LinkStateTable(std::size_t n_nodes, const NeighborSet* neighbors)
     : n_(n_nodes),
+      graph_(neighbors),
       nbrs_(neighbors != nullptr && !neighbors->full() ? neighbors : nullptr),
       entries_(nbrs_ != nullptr ? nbrs_->edge_count() : n_ * n_),
       est_cnt_(n_, 0),
@@ -37,7 +39,19 @@ std::size_t LinkStateTable::index(NodeId from, NodeId to) const {
 
 void LinkStateTable::publish(NodeId from, NodeId to, const LinkMetrics& metrics) {
   assert(nbrs_ == nullptr || nbrs_->adjacent(from, to));
-  LinkMetrics& slot = entries_[index(from, to)];
+  write(entries_[index(from, to)], from, to, metrics);
+}
+
+void LinkStateTable::publish_edge(std::size_t e, const LinkMetrics& metrics) {
+  assert(graph_ != nullptr && e < graph_->edge_count());
+  const NodeId from = graph_->edge_source(e);
+  const NodeId to = graph_->edge_target(e);
+  write(entries_[nbrs_ != nullptr ? e : static_cast<std::size_t>(from) * n_ + to], from, to,
+        metrics);
+}
+
+void LinkStateTable::write(LinkMetrics& slot, NodeId from, NodeId to,
+                           const LinkMetrics& metrics) {
   if (from != to) {
     // Diff the incident counters for both endpoints (diagonal entries
     // are ignored by node_seems_up, so they never touch the counters).
@@ -62,6 +76,44 @@ void LinkStateTable::publish(NodeId from, NodeId to, const LinkMetrics& metrics)
 const LinkMetrics& LinkStateTable::get(NodeId from, NodeId to) const {
   if (nbrs_ != nullptr && !nbrs_->adjacent(from, to)) return kPristine;
   return entries_[index(from, to)];
+}
+
+void LinkStateTable::fill_row(NodeId from, std::span<const LinkMetrics*> out) const {
+  assert(from < n_ && out.size() == n_);
+  if (nbrs_ == nullptr) {
+    const LinkMetrics* row = entries_.data() + static_cast<std::size_t>(from) * n_;
+    for (std::size_t x = 0; x < n_; ++x) out[x] = row + x;
+    return;
+  }
+  std::fill(out.begin(), out.end(), &kPristine);
+  const LinkMetrics* row = entries_.data() + nbrs_->row_offset(from);
+  const auto peers = nbrs_->neighbors(from);
+  for (std::size_t rank = 0; rank < peers.size(); ++rank) out[peers[rank]] = row + rank;
+}
+
+void LinkStateTable::fill_col(NodeId to, std::span<const LinkMetrics*> out) const {
+  assert(to < n_ && out.size() == n_);
+  if (nbrs_ == nullptr) {
+    const LinkMetrics* col = entries_.data() + to;
+    for (std::size_t x = 0; x < n_; ++x) out[x] = col + x * n_;
+    return;
+  }
+  // The graph is symmetric: x reaches `to` exactly when x is in row
+  // `to`, and edge (x, to) is the reverse of (to, x).
+  std::fill(out.begin(), out.end(), &kPristine);
+  const std::size_t first = nbrs_->row_offset(to);
+  const auto peers = nbrs_->neighbors(to);
+  for (std::size_t rank = 0; rank < peers.size(); ++rank) {
+    out[peers[rank]] = &entries_[nbrs_->reverse_edge(first + rank)];
+  }
+}
+
+std::span<const LinkMetrics> LinkStateTable::row(NodeId from) const {
+  assert(from < n_);
+  if (nbrs_ == nullptr) {
+    return {entries_.data() + static_cast<std::size_t>(from) * n_, n_};
+  }
+  return {entries_.data() + nbrs_->row_offset(from), nbrs_->degree(from)};
 }
 
 void LinkStateTable::for_each_entry(

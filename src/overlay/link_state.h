@@ -20,12 +20,19 @@
 // maintained on publish — the path engine calls it for every node on
 // every query, which at 3000 nodes would otherwise be an O(n) scan
 // inside an O(n) loop.
+//
+// Hot callers address entries without searching: the overlay publishes
+// by dense edge id (publish_edge), and the path engine and routers read
+// whole rows or columns at once (fill_row / fill_col / row), each in
+// O(n + degree). get/publish by (from, to) stay for cold keyed callers;
+// in sparse mode each costs binary searches over a CSR row.
 
 #ifndef RONPATH_OVERLAY_LINK_STATE_H_
 #define RONPATH_OVERLAY_LINK_STATE_H_
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -65,6 +72,18 @@ class LinkStateTable {
   void publish(NodeId from, NodeId to, const LinkMetrics& metrics);
   [[nodiscard]] const LinkMetrics& get(NodeId from, NodeId to) const;
 
+  // publish() for edge `e` of the NeighborSet given at construction
+  // (required), without the keyed lookup.
+  void publish_edge(std::size_t e, const LinkMetrics& metrics);
+  // Fill out[x] (out.size() == size()) with &get(from, x), respectively
+  // &get(x, to), for every node x: non-neighbors point at the pristine
+  // entry, exactly as get() answers them.
+  void fill_row(NodeId from, std::span<const LinkMetrics*> out) const;
+  void fill_col(NodeId to, std::span<const LinkMetrics*> out) const;
+  // The stored entries of row `from`: one per neighbor in CSR order
+  // (sparse), or all n including the never-published diagonal (dense).
+  [[nodiscard]] std::span<const LinkMetrics> row(NodeId from) const;
+
   // A node is considered reachable-in-principle if at least one of its
   // incident links is not down (no estimates at all also counts as up).
   [[nodiscard]] bool node_seems_up(NodeId node) const {
@@ -90,11 +109,13 @@ class LinkStateTable {
 
  private:
   [[nodiscard]] std::size_t index(NodeId from, NodeId to) const;
+  void write(LinkMetrics& slot, NodeId from, NodeId to, const LinkMetrics& metrics);
   void recount();
 
   std::size_t n_;
-  const NeighborSet* nbrs_ = nullptr;  // non-null => sparse CSR storage
-  std::vector<LinkMetrics> entries_;   // dense n*n, or one per directed edge
+  const NeighborSet* graph_ = nullptr;  // the construction graph, may be null
+  const NeighborSet* nbrs_ = nullptr;   // non-null => sparse CSR storage
+  std::vector<LinkMetrics> entries_;    // dense n*n, or one per directed edge
   // Per-node incident-entry counters backing O(1) node_seems_up:
   // est = incident entries with samples > 0; up = those also not down.
   std::vector<std::uint32_t> est_cnt_;

@@ -111,6 +111,19 @@ void NeighborSet::finish(std::size_t n, std::vector<std::vector<NodeId>> rows) {
   for (std::size_t s = 0; s < n; ++s) {
     nbrs_.insert(nbrs_.end(), rows[s].begin(), rows[s].end());
   }
+  // Reverse edges in one pass: walking rows in ascending source order
+  // visits each row d's entries (d, s) in ascending s too, so a per-row
+  // cursor hands out the mirror ids in order.
+  assert(total <= UINT32_MAX);
+  reverse_.resize(total);
+  std::vector<std::size_t> cursor(offsets_.begin(), offsets_.end() - 1);
+  for (std::size_t s = 0; s < n; ++s) {
+    for (std::size_t e = offsets_[s]; e < offsets_[s + 1]; ++e) {
+      const std::size_t back = cursor[nbrs_[e]]++;
+      assert(nbrs_[back] == s);
+      reverse_[e] = static_cast<std::uint32_t>(back);
+    }
+  }
   is_landmark_.assign(n, false);
 }
 

@@ -13,9 +13,12 @@
 // The set is symmetric (a in N(b) <=> b in N(a)) and purely a function
 // of (topology, fanout, landmarks): no RNG involved, so rebuilding it
 // after a restore reproduces the same graph. Rows are sorted CSR, and
-// `edge_index` gives every directed edge a dense rank — the flat
+// every directed edge has a dense id e = row_offset(s) + rank — the flat
 // storage key used by the overlay's estimator array and the sparse
-// link-state table (state is O(n * fanout) instead of O(n^2)).
+// link-state table (state is O(n * fanout) instead of O(n^2)). Hot
+// callers compute e once and carry it; `edge_index` (two binary
+// searches' worth of work) is for cold keyed callers only.
+// `reverse_edge(e)` is the id of the opposite direction, precomputed.
 //
 // `full_mesh(n)` (also what `build` returns at fanout 0 or fanout >= n-1)
 // materializes the complete graph with `full() == true`; the link-state
@@ -54,11 +57,18 @@ class NeighborSet {
   }
   [[nodiscard]] bool adjacent(NodeId a, NodeId b) const;
 
-  // Dense rank of directed edge (s, d): CSR row offset plus the rank of
+  // Dense id of directed edge (s, d): CSR row offset plus the rank of
   // d within row s. Asserts that the edge exists.
   [[nodiscard]] std::size_t edge_index(NodeId s, NodeId d) const;
   // Total directed edges (== nbrs_.size(); rows are symmetric).
   [[nodiscard]] std::size_t edge_count() const { return nbrs_.size(); }
+  // Id of the first edge of row s: edge (s, neighbors(s)[rank]) is
+  // row_offset(s) + rank.
+  [[nodiscard]] std::size_t row_offset(NodeId s) const { return offsets_[s]; }
+  // Endpoints of edge e, and the id of the edge (target, source).
+  [[nodiscard]] NodeId edge_target(std::size_t e) const { return nbrs_[e]; }
+  [[nodiscard]] NodeId edge_source(std::size_t e) const { return nbrs_[reverse_[e]]; }
+  [[nodiscard]] std::uint32_t reverse_edge(std::size_t e) const { return reverse_[e]; }
 
   [[nodiscard]] bool is_landmark(NodeId v) const { return is_landmark_[v]; }
   [[nodiscard]] const std::vector<NodeId>& landmarks() const { return landmarks_; }
@@ -67,9 +77,10 @@ class NeighborSet {
   NeighborSet() = default;
   void finish(std::size_t n, std::vector<std::vector<NodeId>> rows);
 
-  std::vector<std::size_t> offsets_;  // n + 1
-  std::vector<NodeId> nbrs_;          // sorted per row, symmetric
-  std::vector<NodeId> landmarks_;     // sorted
+  std::vector<std::size_t> offsets_;    // n + 1
+  std::vector<NodeId> nbrs_;            // sorted per row, symmetric
+  std::vector<std::uint32_t> reverse_;  // per edge: id of the opposite edge
+  std::vector<NodeId> landmarks_;       // sorted
   std::vector<bool> is_landmark_;
   bool full_ = false;
 };

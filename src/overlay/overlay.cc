@@ -73,11 +73,11 @@ std::array<std::int64_t, 6> OverlayNetwork::loss_run_counts() const {
 }
 
 std::size_t OverlayNetwork::state_bytes() const {
-  // Approximate: value sizes of the per-edge and per-node containers plus
-  // the estimator windows. Good enough to demonstrate O(n * fanout)
-  // scaling next to the process-level RSS bench_scale also reports.
+  // Approximate: value sizes of the per-edge and per-node containers
+  // (estimator windows are inline). Good enough to demonstrate
+  // O(n * fanout) scaling next to the process-level RSS bench_scale
+  // also reports.
   std::size_t bytes = links_.capacity() * sizeof(LinkEstimator);
-  bytes += links_.size() * (cfg_.loss_window / 8);  // probe-window bits
   bytes += (table_.sparse() ? neighbors_.edge_count() : n_ * n_) * sizeof(LinkMetrics);
   bytes += probe_tasks_.size() *
            (sizeof(PeriodicTask) + sizeof(std::unique_ptr<PeriodicTask>));
@@ -108,6 +108,7 @@ void OverlayNetwork::start() {
     const Duration period = cfg_.probe_interval * static_cast<std::int64_t>(stride);
     for (std::size_t rank = 0; rank < row.size(); ++rank) {
       const NodeId d = row[rank];
+      const auto e = static_cast<std::uint32_t>(neighbors_.row_offset(s) + rank);
       // Stagger initial probes uniformly across the interval so the mesh
       // does not probe in lockstep. The fork key is the legacy dense pair
       // index, so a stride-1 schedule is the legacy schedule bit for bit;
@@ -117,17 +118,19 @@ void OverlayNetwork::start() {
                                                                        cfg_.probe_interval) +
           cfg_.probe_interval * static_cast<std::int64_t>(rank % stride);
       probe_tasks_.push_back(std::make_unique<PeriodicTask>(
-          sched_, period, offset, [this, s, d] { probe_once(s, d); }));
+          sched_, period, offset, [this, e] { probe_once(e); }));
     }
   }
 }
 
-void OverlayNetwork::probe_once(NodeId src, NodeId dst) {
+void OverlayNetwork::probe_once(std::uint32_t e) {
+  const NodeId src = neighbors_.edge_source(e);
+  const NodeId dst = neighbors_.edge_target(e);
   const TimePoint now = sched_.now();
   if (!node_up(src, now)) return;  // failed hosts stop probing
 
   ++probes_sent_;
-  LinkEstimator& est = links_[neighbors_.edge_index(src, dst)];
+  LinkEstimator& est = links_[e];
 
   // Request leg.
   const PathSpec fwd{src, dst, kDirectVia};
@@ -144,14 +147,16 @@ void OverlayNetwork::probe_once(NodeId src, NodeId dst) {
     }
   }
   est.record_probe(lost, rtt / 2, now);
-  publish(src, dst);
+  publish(e);
 
-  if (lost && cfg_.followups > 0) arm_followup(src, dst, cfg_.followups);
+  if (lost && cfg_.followups > 0) arm_followup(e, cfg_.followups);
 }
 
-void OverlayNetwork::send_followup(NodeId src, NodeId dst, int remaining) {
+void OverlayNetwork::send_followup(std::uint32_t e, int remaining) {
+  const NodeId src = neighbors_.edge_source(e);
+  const NodeId dst = neighbors_.edge_target(e);
   const TimePoint now = sched_.now();
-  LinkEstimator& est = links_[neighbors_.edge_index(src, dst)];
+  LinkEstimator& est = links_[e];
   bool lost = true;
   if (node_up(src, now)) {
     const TransmitResult req =
@@ -163,19 +168,17 @@ void OverlayNetwork::send_followup(NodeId src, NodeId dst, int remaining) {
     }
   }
   est.record_followup(lost, now);
-  publish(src, dst);
-  if (lost && remaining > 1) arm_followup(src, dst, remaining - 1);
+  publish(e);
+  if (lost && remaining > 1) arm_followup(e, remaining - 1);
 }
 
-void OverlayNetwork::arm_followup(NodeId src, NodeId dst, int remaining) {
+void OverlayNetwork::arm_followup(std::uint32_t e, int remaining) {
   prune_followups();
   PendingFollowup f;
-  f.src = src;
-  f.dst = dst;
+  f.edge = e;
   f.remaining = remaining;
-  f.handle = sched_.schedule_after(cfg_.followup_spacing, [this, src, dst, remaining] {
-    send_followup(src, dst, remaining);
-  });
+  f.handle = sched_.schedule_after(cfg_.followup_spacing,
+                                   [this, e, remaining] { send_followup(e, remaining); });
   followups_.push_back(std::move(f));
 }
 
@@ -183,7 +186,9 @@ void OverlayNetwork::prune_followups() {
   std::erase_if(followups_, [](const PendingFollowup& f) { return !f.handle.pending(); });
 }
 
-void OverlayNetwork::publish(NodeId src, NodeId dst) {
+void OverlayNetwork::publish(std::uint32_t e) {
+  const NodeId src = neighbors_.edge_source(e);
+  const NodeId dst = neighbors_.edge_target(e);
   // Suppressed advertisements simply never reach the table; the old entry
   // stays and (with entry_ttl set) ages out to "unknown".
   const TimePoint now = sched_.now();
@@ -209,7 +214,7 @@ void OverlayNetwork::publish(NodeId src, NodeId dst) {
   meter.total_bytes += bytes;
   ++meter.total_announces;
 
-  const LinkEstimator& est = links_[neighbors_.edge_index(src, dst)];
+  const LinkEstimator& est = links_[e];
   LinkMetrics m;
   m.loss = est.loss();
   m.latency = est.latency();
@@ -218,13 +223,13 @@ void OverlayNetwork::publish(NodeId src, NodeId dst) {
   m.samples = est.samples();
   m.published = now;
   m.stride = stride_[src];
-  table_.publish(src, dst, m);
+  table_.publish_edge(e, m);
   // An announcement is bidirectional: when the peer's own rotation is
   // slower than ours, refresh the mirror entry too so slow-rotating rows
   // (landmarks above all) stay fresh through their neighbors'
   // announcements. Same LSA, so it is charged once above. Never fires on
   // the full mesh, where every stride is 1.
-  if (stride_[dst] > 1) table_.publish(dst, src, m);
+  if (stride_[dst] > 1) table_.publish_edge(neighbors_.reverse_edge(e), m);
 }
 
 PathSpec OverlayNetwork::route(NodeId src, NodeId dst, RouteTag tag) {
@@ -306,19 +311,19 @@ void OverlayNetwork::save_state(snap::Encoder& e) const {
 
   // Pending follow-up chains. Fired entries are pruned lazily, so collect
   // the still-pending ones first.
-  std::vector<std::tuple<NodeId, NodeId, int, TimePoint, std::uint64_t>> live;
+  std::vector<std::tuple<std::uint32_t, int, TimePoint, std::uint64_t>> live;
   live.reserve(followups_.size());
   for (const PendingFollowup& f : followups_) {
     TimePoint at;
     std::uint64_t seq = 0;
     if (sched_.pending_entry(f.handle, &at, &seq)) {
-      live.emplace_back(f.src, f.dst, f.remaining, at, seq);
+      live.emplace_back(f.edge, f.remaining, at, seq);
     }
   }
   e.u64(live.size());
-  for (const auto& [src, dst, remaining, at, seq] : live) {
-    e.u64(src);
-    e.u64(dst);
+  for (const auto& [edge, remaining, at, seq] : live) {
+    e.u64(neighbors_.edge_source(edge));
+    e.u64(neighbors_.edge_target(edge));
     e.i64(remaining);
     e.time(at);
     e.u64(seq);
@@ -368,21 +373,28 @@ void OverlayNetwork::restore_state(snap::Decoder& d) {
   followups_.clear();
   const std::uint64_t n_follow = d.count(40);
   for (std::uint64_t i = 0; i < n_follow; ++i) {
-    PendingFollowup f;
-    f.src = static_cast<NodeId>(d.u64());
-    f.dst = static_cast<NodeId>(d.u64());
-    f.remaining = static_cast<int>(d.i64());
-    if (f.src >= n_ || f.dst >= n_ || f.src == f.dst || f.remaining < 1) {
+    const std::uint64_t src = d.u64();
+    const std::uint64_t dst = d.u64();
+    const auto remaining = static_cast<int>(d.i64());
+    if (src >= n_ || dst >= n_ || src == dst || remaining < 1) {
       throw snap::SnapshotError("snapshot: malformed follow-up descriptor");
+    }
+    // A chain only ever runs on a probed edge; on a capped graph the
+    // pair may be in range yet not adjacent.
+    if (!neighbors_.adjacent(static_cast<NodeId>(src), static_cast<NodeId>(dst))) {
+      throw snap::SnapshotError("snapshot: follow-up descriptor " + std::to_string(src) +
+                                "->" + std::to_string(dst) +
+                                " is not an edge of the probed graph");
     }
     const TimePoint at = d.time();
     const std::uint64_t seq = d.u64();
-    const NodeId src = f.src;
-    const NodeId dst = f.dst;
-    const int remaining = f.remaining;
-    f.handle = sched_.schedule_at_restored(at, seq, [this, src, dst, remaining] {
-      send_followup(src, dst, remaining);
-    });
+    PendingFollowup f;
+    f.edge = static_cast<std::uint32_t>(
+        neighbors_.edge_index(static_cast<NodeId>(src), static_cast<NodeId>(dst)));
+    f.remaining = remaining;
+    const std::uint32_t e = f.edge;
+    f.handle = sched_.schedule_at_restored(at, seq,
+                                           [this, e, remaining] { send_followup(e, remaining); });
     followups_.push_back(std::move(f));
   }
 }

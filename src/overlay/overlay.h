@@ -192,26 +192,26 @@ class OverlayNetwork {
   void check_invariants(TimePoint now, std::vector<std::string>& out) const;
 
  private:
-  struct LinkProber;
-
   // A scheduled follow-up probe: bookkeeping mirror of the closure held
   // by the scheduler, so checkpoints can serialize the chain. Entries
   // whose event has fired are pruned lazily on the next arm/save.
   struct PendingFollowup {
-    NodeId src = 0;
-    NodeId dst = 0;
+    std::uint32_t edge = 0;  // dense edge id of the probed link
     int remaining = 0;
     EventHandle handle;
   };
 
-  void probe_once(NodeId src, NodeId dst);
-  void send_followup(NodeId src, NodeId dst, int remaining);
-  // Schedules send_followup(src, dst, remaining) after followup_spacing
-  // and records it in followups_.
-  void arm_followup(NodeId src, NodeId dst, int remaining);
+  // The probe path addresses a link by its dense edge id `e` (see
+  // NeighborSet), computed once per probe task: the estimator is
+  // links_[e] and the announcement is the table's entry e.
+  void probe_once(std::uint32_t e);
+  void send_followup(std::uint32_t e, int remaining);
+  // Schedules send_followup(e, remaining) after followup_spacing and
+  // records it in followups_.
+  void arm_followup(std::uint32_t e, int remaining);
   // Drops followups_ records whose events already fired.
   void prune_followups();
-  void publish(NodeId src, NodeId dst);
+  void publish(std::uint32_t e);
   // Dense pair key src * n + dst: the RNG fork key for probe stagger,
   // independent of the neighbor graph's edge ranks.
   [[nodiscard]] std::size_t link_index(NodeId src, NodeId dst) const;

@@ -65,9 +65,13 @@ struct EngineKernel {
   std::vector<Value>& val;   // [(round) * n + node]
   std::vector<NodeId>& par;  // kInvalidNode == unset; src at round 0
   EngineStats& stats;
+  // view[x] = &table.get(u, x) for the row u being relaxed, or
+  // &table.get(x, dst) in the lazy last round: one O(n + degree) fill
+  // per row instead of a keyed lookup per candidate.
+  std::vector<const LinkMetrics*>& view;
 
-  [[nodiscard]] typename Obj::Link edge(NodeId u, NodeId w) const {
-    return Obj::link(table.get(u, w), cfg, now);
+  [[nodiscard]] typename Obj::Link edge(NodeId x) const {
+    return Obj::link(*view[x], cfg, now);
   }
 
   // A node may act as a relay source for round r when it is not the
@@ -89,22 +93,24 @@ struct EngineKernel {
   }
 
   void seed_round0() {
+    table.fill_row(src, view);
     for (NodeId w = 0; w < n; ++w) {
       if (w == src) {
         val[w] = Obj::kUnset;
         par[w] = kInvalidNode;
         continue;
       }
-      val[w] = Obj::seed(edge(src, w));
+      val[w] = Obj::seed(edge(w));
       par[w] = src;
     }
   }
 
-  // Offers label(r-1, u) + edge(u, w) as a candidate for label(r, w).
-  void cand_check(int r, NodeId w, NodeId u) {
+  // Offers label(r-1, u) + link as a candidate for label(r, w), where
+  // `link` is edge (u, w) read from the view.
+  void cand_check(int r, NodeId w, NodeId u, typename Obj::Link link) {
     ++stats.edges_relaxed;
     const std::size_t i = static_cast<std::size_t>(r) * n + w;
-    const Value cand = Obj::extend(val[static_cast<std::size_t>(r - 1) * n + u], edge(u, w));
+    const Value cand = Obj::extend(val[static_cast<std::size_t>(r - 1) * n + u], link);
     if (par[i] == kInvalidNode || Obj::better(cand, val[i]) ||
         (cand == val[i] && u < par[i])) {
       val[i] = cand;
@@ -113,27 +119,30 @@ struct EngineKernel {
   }
 
   // Full round-r relax. `only`, when valid, restricts targets to one
-  // node (the lazy query's final round).
+  // node (the lazy query's final round) and leaves the view on column
+  // `only`.
   void relax_round(int r, NodeId only = kInvalidNode) {
     const std::size_t base = static_cast<std::size_t>(r) * n;
     if (only != kInvalidNode) {
       val[base + only] = Obj::kUnset;
       par[base + only] = kInvalidNode;
-    } else {
-      for (NodeId w = 0; w < n; ++w) {
-        val[base + w] = Obj::kUnset;
-        par[base + w] = kInvalidNode;
+      table.fill_col(only, view);
+      for (NodeId u = 0; u < n; ++u) {
+        if (!admissible(u, r) || only == u || only == src) continue;
+        cand_check(r, only, u, edge(u));
       }
+      return;
+    }
+    for (NodeId w = 0; w < n; ++w) {
+      val[base + w] = Obj::kUnset;
+      par[base + w] = kInvalidNode;
     }
     for (NodeId u = 0; u < n; ++u) {
       if (!admissible(u, r)) continue;
-      if (only != kInvalidNode) {
-        if (only != u && only != src) cand_check(r, only, u);
-        continue;
-      }
+      table.fill_row(u, view);
       for (NodeId w = 0; w < n; ++w) {
         if (w == u || w == src) continue;
-        cand_check(r, w, u);
+        cand_check(r, w, u, edge(w));
       }
     }
   }
@@ -164,6 +173,7 @@ void PathEngine::ensure_scratch() {
     q_lat_.value.assign(want, Duration::min());
     q_lat_.parent.assign(want, kInvalidNode);
     q_live_.assign(n_, false);
+    q_view_.assign(n_, nullptr);
   }
 }
 
@@ -247,11 +257,12 @@ EngineChoice PathEngine::best_loss(NodeId src, NodeId dst, int max_hops, TimePoi
   ensure_scratch();
   refresh_live();
   const int k = clamp_rounds(max_hops);
-  EngineKernel<LossObj> kern{table_,   cfg_, n_,           src,           /*ban=*/dst, q_live_,
-                             excluded, now,  q_loss_.value, q_loss_.parent, stats_};
+  EngineKernel<LossObj> kern{table_,   cfg_, n_,           src,            /*ban=*/dst, q_live_,
+                             excluded, now,  q_loss_.value, q_loss_.parent, stats_,      q_view_};
   kern.seed_round0();
   for (int r = 1; r <= k; ++r) kern.relax_round(r, r == k ? dst : kInvalidNode);
-  const double direct = link_loss(table_.get(src, dst), cfg_, now);
+  // The last round left the view on column dst.
+  const double direct = kern.edge(src);
   return finish_loss(kern, dst, k, direct, include_direct);
 }
 
@@ -261,11 +272,12 @@ EngineChoice PathEngine::best_latency(NodeId src, NodeId dst, int max_hops, Time
   ensure_scratch();
   refresh_live();
   const int k = clamp_rounds(max_hops);
-  EngineKernel<LatObj> kern{table_,   cfg_, n_,          src,          /*ban=*/dst, q_live_,
-                            excluded, now,  q_lat_.value, q_lat_.parent, stats_};
+  EngineKernel<LatObj> kern{table_,   cfg_, n_,          src,           /*ban=*/dst, q_live_,
+                            excluded, now,  q_lat_.value, q_lat_.parent, stats_,      q_view_};
   kern.seed_round0();
   for (int r = 1; r <= k; ++r) kern.relax_round(r, r == k ? dst : kInvalidNode);
-  const Duration direct = link_latency(table_.get(src, dst), cfg_, now);
+  // The last round left the view on column dst.
+  const Duration direct = kern.edge(src);
   return finish_lat(kern, dst, k, direct, include_direct);
 }
 

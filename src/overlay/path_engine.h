@@ -127,6 +127,7 @@ class PathEngine {
   LossLabels q_loss_;
   LatLabels q_lat_;
   std::vector<bool> q_live_;
+  std::vector<const LinkMetrics*> q_view_;  // one row or column of the table
 
   EngineStats stats_;
 };

@@ -151,23 +151,18 @@ std::vector<NodeId> Router::live_intermediates(NodeId dst) const {
 
 bool Router::view_degraded(TimePoint now) const {
   if (cfg_.entry_ttl <= Duration::zero()) return false;
+  // The stored row: over a capped graph only the neighbor row, the only
+  // part ever refreshed (counting the silent rest of the mesh would read
+  // as permanently degraded at any useful fanout); on a dense table all
+  // n entries, whose never-published diagonal is skipped.
+  const auto row = table_.row(self_);
+  const bool dense = !table_.sparse();
   std::size_t expired = 0;
-  std::size_t total = 0;
-  if (restricted()) {
-    // Only the neighbor row is ever refreshed over a capped graph;
-    // counting the silent rest of the mesh would read as permanently
-    // degraded at any useful fanout.
-    for (const NodeId v : nbrs_->neighbors(self_)) {
-      ++total;
-      if (entry_expired(table_.get(self_, v), cfg_, now)) ++expired;
-    }
-  } else {
-    for (NodeId v = 0; v < table_.size(); ++v) {
-      if (v == self_) continue;
-      ++total;
-      if (entry_expired(table_.get(self_, v), cfg_, now)) ++expired;
-    }
+  for (std::size_t v = 0; v < row.size(); ++v) {
+    if (dense && v == self_) continue;
+    if (entry_expired(row[v], cfg_, now)) ++expired;
   }
+  const std::size_t total = row.size() - (dense ? 1 : 0);
   return total > 0 &&
          static_cast<double>(expired) > cfg_.degraded_view_threshold * static_cast<double>(total);
 }

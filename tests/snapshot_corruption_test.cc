@@ -6,13 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "core/fault_matrix.h"
+#include "core/testbed.h"
 #include "fault/scenarios.h"
+#include "net/network.h"
+#include "overlay/estimator.h"
+#include "overlay/overlay.h"
 #include "snapshot/codec.h"
 #include "snapshot/snapshot.h"
 #include "snapshot/world.h"
@@ -215,6 +220,117 @@ TEST(SnapshotCorruption, CrossWorldRestoreIsBlocked) {
 
   SimWorld reseeded(scenario(), FaultScheme::kReactive, small_config(), 43);
   EXPECT_NE(reseeded.fingerprint(), entry.fingerprint);
+}
+
+// A capped overlay (fanout 4 over the 30-site testbed) restored from a
+// snapshot taken right after start(): no follow-up chain is pending, so
+// the payload ends in a zero follow-up count that the tests below
+// replace with one hand-made descriptor (src, dst, remaining, at, seq).
+struct CappedOverlayRig {
+  Topology topo = testbed_2002();
+  Network net{topo, NetConfig::profile_2003(), Duration::hours(1), Rng(42)};
+  Scheduler sched;
+  OverlayNetwork overlay{net, sched, config(), Rng(43)};
+
+  static OverlayConfig config() {
+    OverlayConfig cfg;
+    cfg.fanout = 4;
+    cfg.landmarks = 2;
+    return cfg;
+  }
+  CappedOverlayRig() { overlay.start(); }
+
+  std::vector<std::uint8_t> payload_with_followup(NodeId src, NodeId dst) {
+    snap::Encoder e;
+    overlay.save_state(e);
+    std::vector<std::uint8_t> bytes = e.bytes();
+    snap::Encoder tail;
+    tail.u64(0);
+    EXPECT_TRUE(std::equal(tail.bytes().begin(), tail.bytes().end(), bytes.end() - 8));
+    bytes.resize(bytes.size() - 8);
+    snap::Encoder chain;
+    chain.u64(1);
+    chain.u64(src);
+    chain.u64(dst);
+    chain.i64(1);
+    chain.time(TimePoint::epoch() + Duration::seconds(1));
+    chain.u64(0);
+    bytes.insert(bytes.end(), chain.bytes().begin(), chain.bytes().end());
+    return bytes;
+  }
+
+  void restore_into_fresh(const std::vector<std::uint8_t>& payload) {
+    CappedOverlayRig fresh;
+    fresh.sched.restore_clock(sched.now(), sched.next_seq(), 0);
+    snap::Decoder d(payload);
+    fresh.overlay.restore_state(d);
+  }
+};
+
+// A follow-up chain only ever runs on a probed edge. A descriptor whose
+// endpoints are in range but not adjacent in the capped graph must be
+// rejected, not re-armed onto whatever edge a keyed lookup lands on.
+TEST(SnapshotCorruption, FollowupOnNonEdgeIsRejected) {
+  CappedOverlayRig rig;
+  const NeighborSet& nbrs = rig.overlay.neighbors();
+  ASSERT_FALSE(nbrs.full());
+  NodeId a = kInvalidNode;
+  NodeId b = kInvalidNode;
+  for (NodeId s = 0; s < nbrs.size() && a == kInvalidNode; ++s) {
+    for (NodeId d = 0; d < nbrs.size(); ++d) {
+      if (s != d && !nbrs.adjacent(s, d)) {
+        a = s;
+        b = d;
+        break;
+      }
+    }
+  }
+  ASSERT_NE(a, kInvalidNode) << "capped graph unexpectedly complete";
+  try {
+    rig.restore_into_fresh(rig.payload_with_followup(a, b));
+    FAIL() << "follow-up on non-edge " << a << "->" << b << " restored";
+  } catch (const snap::SnapshotError& err) {
+    EXPECT_NE(std::string(err.what()).find("not an edge"), std::string::npos) << err.what();
+  }
+
+  // The same descriptor on a probed edge restores.
+  const NodeId peer = nbrs.neighbors(a).front();
+  EXPECT_NO_THROW(rig.restore_into_fresh(rig.payload_with_followup(a, peer)));
+}
+
+// The estimator's saved lost-probe count must agree with the restored
+// window; a larger count would push loss() above 1.
+TEST(SnapshotCorruption, EstimatorLostCountMustMatchWindow) {
+  LinkEstimator est(100, 0.1);
+  std::uint64_t lost = 0;
+  for (int i = 0; i < 37; ++i) {
+    const bool l = i % 3 == 0;
+    lost += l ? 1 : 0;
+    est.record_probe(l, Duration::millis(10), TimePoint::epoch());
+  }
+  snap::Encoder e;
+  est.save_state(e);
+  // Layout: tag(4) | u64 count | ceil(37/8) packed bytes | u64 lost | ...
+  const std::size_t at = 4 + 8 + (37 + 7) / 8;
+  const auto patched = [&](std::uint64_t value) {
+    std::vector<std::uint8_t> bytes = e.bytes();
+    for (int i = 0; i < 8; ++i) bytes[at + i] = static_cast<std::uint8_t>(value >> (8 * i));
+    return bytes;
+  };
+  {
+    const std::vector<std::uint8_t> same = patched(lost);
+    EXPECT_EQ(same, e.bytes());  // the offset really is the lost count
+    LinkEstimator ok(100, 0.1);
+    snap::Decoder d(same);
+    EXPECT_NO_THROW(ok.restore_state(d));
+    EXPECT_EQ(ok.loss(), est.loss());
+  }
+  for (const std::uint64_t bad : {lost - 1, lost + 1, std::uint64_t{200}}) {
+    const std::vector<std::uint8_t> bytes = patched(bad);
+    LinkEstimator restored(100, 0.1);
+    snap::Decoder d(bytes);
+    EXPECT_THROW(restored.restore_state(d), snap::SnapshotError) << "lost count " << bad;
+  }
 }
 
 TEST(SnapshotFiles, WriteReadRoundTrip) {
