@@ -48,8 +48,9 @@ LinkMetrics random_metrics(Rng& rng) {
 // what makes labels stagnate between rounds: on a sparse mesh most
 // nodes' best k-hop path stops improving after the first round or two,
 // and the marked-node pruning skips them as relax sources.
-LinkStateTable make_table(std::size_t n, double density, Rng& rng) {
-  LinkStateTable t(n);
+LinkStateTable make_table(const NeighborSet& mesh, double density, Rng& rng) {
+  const std::size_t n = mesh.size();
+  LinkStateTable t(mesh);
   for (NodeId a = 0; a < n; ++a) {
     for (NodeId b = 0; b < n; ++b) {
       if (a != b && rng.next_double() < density) t.publish(a, b, random_metrics(rng));
@@ -95,7 +96,8 @@ int main(int argc, char** argv) {
   for (const std::size_t n : sizes) {
     for (const double density : {1.0, 0.15}) {
     Rng rng(seed + n);
-    const LinkStateTable table = make_table(n, density, rng);
+    const NeighborSet mesh = NeighborSet::full_mesh(n);
+    const LinkStateTable table = make_table(mesh, density, rng);
     RouterConfig cfg;
 
     for (int k = 1; k <= 3; ++k) {

@@ -148,7 +148,8 @@ BENCHMARK(BM_EstimatorUpdate);
 
 void BM_RouterBestLossPath(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  LinkStateTable table(n);
+  const NeighborSet mesh = NeighborSet::full_mesh(n);
+  LinkStateTable table(mesh);
   Rng rng(9);
   for (NodeId a = 0; a < n; ++a) {
     for (NodeId b = 0; b < n; ++b) {

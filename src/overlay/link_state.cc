@@ -8,126 +8,85 @@
 namespace ronpath {
 namespace {
 
-// Returned for reads of pairs outside the sparse neighbor graph: a
-// never-published entry, exactly what the dense table holds for a pair
-// no probe has reported yet.
+// Returned for reads of pairs outside the neighbor graph (and of the
+// diagonal): a never-published entry.
 const LinkMetrics kPristine{};
 
 }  // namespace
 
-LinkStateTable::LinkStateTable(std::size_t n_nodes)
-    : n_(n_nodes),
-      entries_(n_ * n_),
+LinkStateTable::LinkStateTable(const NeighborSet& graph)
+    : graph_(&graph),
+      n_(graph.size()),
+      entries_(graph.edge_count()),
       est_cnt_(n_, 0),
       up_cnt_(n_, 0) {}
 
-LinkStateTable::LinkStateTable(std::size_t n_nodes, const NeighborSet* neighbors)
-    : n_(n_nodes),
-      graph_(neighbors),
-      nbrs_(neighbors != nullptr && !neighbors->full() ? neighbors : nullptr),
-      entries_(nbrs_ != nullptr ? nbrs_->edge_count() : n_ * n_),
-      est_cnt_(n_, 0),
-      up_cnt_(n_, 0) {
-  assert(neighbors == nullptr || neighbors->size() == n_);
-}
-
-std::size_t LinkStateTable::index(NodeId from, NodeId to) const {
-  assert(from < n_ && to < n_);
-  if (nbrs_ != nullptr) return nbrs_->edge_index(from, to);
-  return static_cast<std::size_t>(from) * n_ + to;
-}
-
 void LinkStateTable::publish(NodeId from, NodeId to, const LinkMetrics& metrics) {
-  assert(nbrs_ == nullptr || nbrs_->adjacent(from, to));
-  write(entries_[index(from, to)], from, to, metrics);
+  assert(from < n_ && to < n_ && graph_->adjacent(from, to));
+  write(entries_[graph_->edge_index(from, to)], from, to, metrics);
 }
 
 void LinkStateTable::publish_edge(std::size_t e, const LinkMetrics& metrics) {
-  assert(graph_ != nullptr && e < graph_->edge_count());
-  const NodeId from = graph_->edge_source(e);
-  const NodeId to = graph_->edge_target(e);
-  write(entries_[nbrs_ != nullptr ? e : static_cast<std::size_t>(from) * n_ + to], from, to,
-        metrics);
+  assert(e < entries_.size());
+  write(entries_[e], graph_->edge_source(e), graph_->edge_target(e), metrics);
 }
 
 void LinkStateTable::write(LinkMetrics& slot, NodeId from, NodeId to,
                            const LinkMetrics& metrics) {
-  if (from != to) {
-    // Diff the incident counters for both endpoints (diagonal entries
-    // are ignored by node_seems_up, so they never touch the counters).
-    const bool old_est = slot.samples > 0;
-    const bool old_up = old_est && !slot.down;
-    const bool new_est = metrics.samples > 0;
-    const bool new_up = new_est && !metrics.down;
-    if (old_est != new_est) {
-      const std::uint32_t delta = new_est ? 1u : static_cast<std::uint32_t>(-1);
-      est_cnt_[from] += delta;
-      est_cnt_[to] += delta;
-    }
-    if (old_up != new_up) {
-      const std::uint32_t delta = new_up ? 1u : static_cast<std::uint32_t>(-1);
-      up_cnt_[from] += delta;
-      up_cnt_[to] += delta;
-    }
+  // Diff the incident counters for both endpoints.
+  const bool old_est = slot.samples > 0;
+  const bool old_up = old_est && !slot.down;
+  const bool new_est = metrics.samples > 0;
+  const bool new_up = new_est && !metrics.down;
+  if (old_est != new_est) {
+    const std::uint32_t delta = new_est ? 1u : static_cast<std::uint32_t>(-1);
+    est_cnt_[from] += delta;
+    est_cnt_[to] += delta;
+  }
+  if (old_up != new_up) {
+    const std::uint32_t delta = new_up ? 1u : static_cast<std::uint32_t>(-1);
+    up_cnt_[from] += delta;
+    up_cnt_[to] += delta;
   }
   slot = metrics;
 }
 
 const LinkMetrics& LinkStateTable::get(NodeId from, NodeId to) const {
-  if (nbrs_ != nullptr && !nbrs_->adjacent(from, to)) return kPristine;
-  return entries_[index(from, to)];
+  assert(from < n_ && to < n_);
+  if (!graph_->adjacent(from, to)) return kPristine;
+  return entries_[graph_->edge_index(from, to)];
 }
 
 void LinkStateTable::fill_row(NodeId from, std::span<const LinkMetrics*> out) const {
   assert(from < n_ && out.size() == n_);
-  if (nbrs_ == nullptr) {
-    const LinkMetrics* row = entries_.data() + static_cast<std::size_t>(from) * n_;
-    for (std::size_t x = 0; x < n_; ++x) out[x] = row + x;
-    return;
-  }
   std::fill(out.begin(), out.end(), &kPristine);
-  const LinkMetrics* row = entries_.data() + nbrs_->row_offset(from);
-  const auto peers = nbrs_->neighbors(from);
+  const LinkMetrics* row = entries_.data() + graph_->row_offset(from);
+  const auto peers = graph_->neighbors(from);
   for (std::size_t rank = 0; rank < peers.size(); ++rank) out[peers[rank]] = row + rank;
 }
 
 void LinkStateTable::fill_col(NodeId to, std::span<const LinkMetrics*> out) const {
   assert(to < n_ && out.size() == n_);
-  if (nbrs_ == nullptr) {
-    const LinkMetrics* col = entries_.data() + to;
-    for (std::size_t x = 0; x < n_; ++x) out[x] = col + x * n_;
-    return;
-  }
   // The graph is symmetric: x reaches `to` exactly when x is in row
   // `to`, and edge (x, to) is the reverse of (to, x).
   std::fill(out.begin(), out.end(), &kPristine);
-  const std::size_t first = nbrs_->row_offset(to);
-  const auto peers = nbrs_->neighbors(to);
+  const std::size_t first = graph_->row_offset(to);
+  const auto peers = graph_->neighbors(to);
   for (std::size_t rank = 0; rank < peers.size(); ++rank) {
-    out[peers[rank]] = &entries_[nbrs_->reverse_edge(first + rank)];
+    out[peers[rank]] = &entries_[graph_->reverse_edge(first + rank)];
   }
 }
 
 std::span<const LinkMetrics> LinkStateTable::row(NodeId from) const {
   assert(from < n_);
-  if (nbrs_ == nullptr) {
-    return {entries_.data() + static_cast<std::size_t>(from) * n_, n_};
-  }
-  return {entries_.data() + nbrs_->row_offset(from), nbrs_->degree(from)};
+  return {entries_.data() + graph_->row_offset(from), graph_->degree(from)};
 }
 
 void LinkStateTable::for_each_entry(
     const std::function<void(NodeId, NodeId, const LinkMetrics&)>& fn) const {
-  if (nbrs_ == nullptr) {
-    std::size_t i = 0;
-    for (NodeId from = 0; from < n_; ++from) {
-      for (NodeId to = 0; to < n_; ++to, ++i) fn(from, to, entries_[i]);
-    }
-    return;
-  }
   std::size_t i = 0;
   for (NodeId from = 0; from < n_; ++from) {
-    for (const NodeId to : nbrs_->neighbors(from)) fn(from, to, entries_[i++]);
+    for (const NodeId to : graph_->neighbors(from)) fn(from, to, entries_[i++]);
   }
 }
 
@@ -135,7 +94,7 @@ void LinkStateTable::recount() {
   est_cnt_.assign(n_, 0);
   up_cnt_.assign(n_, 0);
   for_each_entry([&](NodeId from, NodeId to, const LinkMetrics& m) {
-    if (m.samples == 0 || from == to) return;
+    if (m.samples == 0) return;
     ++est_cnt_[from];
     ++est_cnt_[to];
     if (!m.down) {
@@ -201,7 +160,7 @@ void LinkStateTable::check_invariants(TimePoint now, std::vector<std::string>& o
       out.push_back(who + ": published without a single probe sample");
     }
     if (m.stride == 0) out.push_back(who + ": zero rotation stride");
-    if (m.samples > 0 && from != to) {
+    if (m.samples > 0) {
       ++est[from];
       ++est[to];
       if (!m.down) {

@@ -8,24 +8,23 @@
 // staleness bound, and the router's O(N^2) probing overhead is accounted
 // analytically in the model library (see model/overhead.h).
 //
-// Two storage modes share one interface:
-//  * dense  — the legacy n*n matrix (ctor taking only n, or a full-mesh
-//    NeighborSet). Bit-identical to the pre-scaling table.
-//  * sparse — CSR rows over a capped NeighborSet: one entry per directed
-//    overlay edge, O(n * fanout) resident state. Reads of non-adjacent
-//    pairs return a pristine (never-published) entry; writes to them
-//    are a programming error.
+// Storage is one LinkMetrics per directed edge of a NeighborSet, in CSR
+// order: O(n * fanout) resident state over a capped graph, n(n-1) over
+// the paper's full mesh (the same CSR with complete rows). Reads of
+// non-adjacent pairs (and of the diagonal) return a pristine
+// (never-published) entry; writes to them are a programming error.
 //
-// node_seems_up is O(1) in both modes via per-node incident counters
-// maintained on publish — the path engine calls it for every node on
-// every query, which at 3000 nodes would otherwise be an O(n) scan
-// inside an O(n) loop.
+// node_seems_up is O(1) via per-node incident counters maintained on
+// publish — the path engine calls it for every node on every query,
+// which at 3000 nodes would otherwise be an O(n) scan inside an O(n)
+// loop.
 //
 // Hot callers address entries without searching: the overlay publishes
 // by dense edge id (publish_edge), and the path engine and routers read
 // whole rows or columns at once (fill_row / fill_col / row), each in
 // O(n + degree). get/publish by (from, to) stay for cold keyed callers;
-// in sparse mode each costs binary searches over a CSR row.
+// each is O(1) on a complete row and a binary search over the CSR row
+// otherwise.
 
 #ifndef RONPATH_OVERLAY_LINK_STATE_H_
 #define RONPATH_OVERLAY_LINK_STATE_H_
@@ -63,25 +62,21 @@ struct LinkMetrics {
 
 class LinkStateTable {
  public:
-  explicit LinkStateTable(std::size_t n_nodes);
-  // Sparse mode when `neighbors` is non-null and not a full mesh; the
-  // NeighborSet must outlive the table. A null or full-mesh set gives
-  // the legacy dense matrix.
-  LinkStateTable(std::size_t n_nodes, const NeighborSet* neighbors);
+  // One entry per directed edge of `graph`, which must outlive the
+  // table (and every copy of it).
+  explicit LinkStateTable(const NeighborSet& graph);
 
   void publish(NodeId from, NodeId to, const LinkMetrics& metrics);
   [[nodiscard]] const LinkMetrics& get(NodeId from, NodeId to) const;
 
-  // publish() for edge `e` of the NeighborSet given at construction
-  // (required), without the keyed lookup.
+  // publish() for edge `e` of the graph, without the keyed lookup.
   void publish_edge(std::size_t e, const LinkMetrics& metrics);
   // Fill out[x] (out.size() == size()) with &get(from, x), respectively
   // &get(x, to), for every node x: non-neighbors point at the pristine
   // entry, exactly as get() answers them.
   void fill_row(NodeId from, std::span<const LinkMetrics*> out) const;
   void fill_col(NodeId to, std::span<const LinkMetrics*> out) const;
-  // The stored entries of row `from`: one per neighbor in CSR order
-  // (sparse), or all n including the never-published diagonal (dense).
+  // The stored entries of row `from`: one per neighbor, in CSR order.
   [[nodiscard]] std::span<const LinkMetrics> row(NodeId from) const;
 
   // A node is considered reachable-in-principle if at least one of its
@@ -91,7 +86,7 @@ class LinkStateTable {
   }
 
   [[nodiscard]] std::size_t size() const { return n_; }
-  [[nodiscard]] bool sparse() const { return nbrs_ != nullptr; }
+  [[nodiscard]] const NeighborSet& graph() const { return *graph_; }
 
   // Snapshot support: serializes every published entry.
   void save_state(snap::Encoder& e) const;
@@ -102,20 +97,17 @@ class LinkStateTable {
   // sanity per entry, and counter/scan agreement for node_seems_up.
   void check_invariants(TimePoint now, std::vector<std::string>& out) const;
 
-  // Visits every stored entry (dense: all n*n pairs; sparse: every
-  // directed edge), in storage order.
+  // Visits every stored entry (one per directed edge), in storage order.
   void for_each_entry(
       const std::function<void(NodeId, NodeId, const LinkMetrics&)>& fn) const;
 
  private:
-  [[nodiscard]] std::size_t index(NodeId from, NodeId to) const;
   void write(LinkMetrics& slot, NodeId from, NodeId to, const LinkMetrics& metrics);
   void recount();
 
+  const NeighborSet* graph_;  // a pointer, so copies stay assignable
   std::size_t n_;
-  const NeighborSet* graph_ = nullptr;  // the construction graph, may be null
-  const NeighborSet* nbrs_ = nullptr;   // non-null => sparse CSR storage
-  std::vector<LinkMetrics> entries_;    // dense n*n, or one per directed edge
+  std::vector<LinkMetrics> entries_;  // one per directed edge, CSR order
   // Per-node incident-entry counters backing O(1) node_seems_up:
   // est = incident entries with samples > 0; up = those also not down.
   std::vector<std::uint32_t> est_cnt_;

@@ -14,19 +14,23 @@
 // of (topology, fanout, landmarks): no RNG involved, so rebuilding it
 // after a restore reproduces the same graph. Rows are sorted CSR, and
 // every directed edge has a dense id e = row_offset(s) + rank — the flat
-// storage key used by the overlay's estimator array and the sparse
-// link-state table (state is O(n * fanout) instead of O(n^2)). Hot
-// callers compute e once and carry it; `edge_index` (two binary
-// searches' worth of work) is for cold keyed callers only.
+// storage key used by the overlay's estimator array and every
+// link-state table (state is O(n * fanout) on a capped graph). Hot
+// callers compute e once and carry it; `edge_index` (a binary search
+// on an incomplete row) is for cold keyed callers only.
 // `reverse_edge(e)` is the id of the opposite direction, precomputed.
 //
 // `full_mesh(n)` (also what `build` returns at fanout 0 or fanout >= n-1)
-// materializes the complete graph with `full() == true`; the link-state
-// table and routers use the flag to skip per-edge adjacency lookups.
+// is the same CSR with every row complete. A row is complete when
+// degree(s) == n-1 — every full-mesh row and every landmark row of a
+// capped graph — and on such a row the rank of d is d - (d > s), so
+// `adjacent` and `edge_index` skip the binary search.
 
 #ifndef RONPATH_OVERLAY_NEIGHBORS_H_
 #define RONPATH_OVERLAY_NEIGHBORS_H_
 
+#include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -49,17 +53,30 @@ class NeighborSet {
                                          std::size_t landmarks);
 
   [[nodiscard]] std::size_t size() const { return offsets_.size() - 1; }
-  [[nodiscard]] bool full() const { return full_; }
 
   [[nodiscard]] std::size_t degree(NodeId s) const { return offsets_[s + 1] - offsets_[s]; }
   [[nodiscard]] std::span<const NodeId> neighbors(NodeId s) const {
     return {nbrs_.data() + offsets_[s], degree(s)};
   }
-  [[nodiscard]] bool adjacent(NodeId a, NodeId b) const;
+  // True when row s holds every other node.
+  [[nodiscard]] bool complete(NodeId s) const { return degree(s) + 1 == size(); }
+  [[nodiscard]] bool adjacent(NodeId a, NodeId b) const {
+    if (a == b) return false;
+    if (complete(a)) return true;
+    const auto row = neighbors(a);
+    return std::binary_search(row.begin(), row.end(), b);
+  }
 
   // Dense id of directed edge (s, d): CSR row offset plus the rank of
   // d within row s. Asserts that the edge exists.
-  [[nodiscard]] std::size_t edge_index(NodeId s, NodeId d) const;
+  [[nodiscard]] std::size_t edge_index(NodeId s, NodeId d) const {
+    assert(s != d && d < size());
+    if (complete(s)) return offsets_[s] + d - (d > s ? 1 : 0);
+    const auto row = neighbors(s);
+    const auto it = std::lower_bound(row.begin(), row.end(), d);
+    assert(it != row.end() && *it == d);
+    return offsets_[s] + static_cast<std::size_t>(it - row.begin());
+  }
   // Total directed edges (== nbrs_.size(); rows are symmetric).
   [[nodiscard]] std::size_t edge_count() const { return nbrs_.size(); }
   // Id of the first edge of row s: edge (s, neighbors(s)[rank]) is
@@ -82,7 +99,6 @@ class NeighborSet {
   std::vector<std::uint32_t> reverse_;  // per edge: id of the opposite edge
   std::vector<NodeId> landmarks_;       // sorted
   std::vector<bool> is_landmark_;
-  bool full_ = false;
 };
 
 }  // namespace ronpath

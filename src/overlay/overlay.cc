@@ -15,10 +15,10 @@ OverlayNetwork::OverlayNetwork(Network& net, Scheduler& sched, OverlayConfig cfg
       n_(net.topology().size()),
       rng_(rng.fork("overlay")),
       neighbors_(NeighborSet::build(net.topology(), cfg_.fanout, cfg_.landmarks)),
-      table_(n_, &neighbors_) {
+      table_(neighbors_) {
   routers_.reserve(n_);
   for (NodeId i = 0; i < n_; ++i) {
-    routers_.push_back(std::make_unique<Router>(i, table_, cfg_.router, &neighbors_));
+    routers_.push_back(std::make_unique<Router>(i, table_, cfg_.router));
   }
   links_.reserve(neighbors_.edge_count());
   const EstimatorConfig est_cfg{cfg_.loss_window, cfg_.use_ewma_loss, cfg_.loss_ewma_alpha,
@@ -78,7 +78,7 @@ std::size_t OverlayNetwork::state_bytes() const {
   // O(n * fanout) scaling next to the process-level RSS bench_scale
   // also reports.
   std::size_t bytes = links_.capacity() * sizeof(LinkEstimator);
-  bytes += (table_.sparse() ? neighbors_.edge_count() : n_ * n_) * sizeof(LinkMetrics);
+  bytes += neighbors_.edge_count() * sizeof(LinkMetrics);
   bytes += probe_tasks_.size() *
            (sizeof(PeriodicTask) + sizeof(std::unique_ptr<PeriodicTask>));
   bytes += neighbors_.edge_count() * sizeof(NodeId) + (n_ + 1) * sizeof(std::size_t);

@@ -86,9 +86,8 @@ bool path_down(const LinkStateTable& table, const PathSpec& path) {
   return table.get(path.src, path.via).down || table.get(path.via, path.dst).down;
 }
 
-Router::Router(NodeId self, const LinkStateTable& table, RouterConfig cfg,
-               const NeighborSet* neighbors)
-    : self_(self), table_(table), cfg_(cfg), nbrs_(neighbors) {
+Router::Router(NodeId self, const LinkStateTable& table, RouterConfig cfg)
+    : self_(self), table_(table), cfg_(cfg) {
   // The forwarding plane carries at most two relays.
   if (cfg_.max_intermediates < 1) cfg_.max_intermediates = 1;
   if (cfg_.max_intermediates > 2) cfg_.max_intermediates = 2;
@@ -130,20 +129,19 @@ std::int64_t Router::lat_switches(NodeId dst) const {
 }
 
 bool Router::is_candidate(NodeId v, NodeId dst) const {
-  // Relay candidates over a capped graph: the two endpoint neighbor
-  // rows plus the landmarks. A relay outside this set could not have
-  // fresh link state towards either endpoint anyway.
-  return nbrs_->adjacent(self_, v) || nbrs_->adjacent(dst, v) || nbrs_->is_landmark(v);
+  // Relay candidates: the two endpoint neighbor rows plus the landmarks
+  // (every node when self's row is complete). A relay outside this set
+  // could not have fresh link state towards either endpoint anyway.
+  const NeighborSet& graph = table_.graph();
+  return graph.adjacent(self_, v) || graph.adjacent(dst, v) || graph.is_landmark(v);
 }
 
 std::vector<NodeId> Router::live_intermediates(NodeId dst) const {
   std::vector<NodeId> out;
-  const bool capped = restricted();
-  out.reserve(capped ? nbrs_->degree(self_) + nbrs_->degree(dst) : table_.size());
+  out.reserve(table_.graph().degree(self_));
   for (NodeId v = 0; v < table_.size(); ++v) {
     if (v == self_ || v == dst) continue;
-    if (capped && !is_candidate(v, dst)) continue;
-    if (!table_.node_seems_up(v)) continue;
+    if (!is_candidate(v, dst) || !table_.node_seems_up(v)) continue;
     out.push_back(v);
   }
   return out;
@@ -151,20 +149,16 @@ std::vector<NodeId> Router::live_intermediates(NodeId dst) const {
 
 bool Router::view_degraded(TimePoint now) const {
   if (cfg_.entry_ttl <= Duration::zero()) return false;
-  // The stored row: over a capped graph only the neighbor row, the only
-  // part ever refreshed (counting the silent rest of the mesh would read
-  // as permanently degraded at any useful fanout); on a dense table all
-  // n entries, whose never-published diagonal is skipped.
+  // The stored row: only the neighbor row is ever refreshed, so counting
+  // the silent rest of a capped mesh would read as permanently degraded
+  // at any useful fanout.
   const auto row = table_.row(self_);
-  const bool dense = !table_.sparse();
   std::size_t expired = 0;
-  for (std::size_t v = 0; v < row.size(); ++v) {
-    if (dense && v == self_) continue;
-    if (entry_expired(row[v], cfg_, now)) ++expired;
+  for (const LinkMetrics& m : row) {
+    if (entry_expired(m, cfg_, now)) ++expired;
   }
-  const std::size_t total = row.size() - (dense ? 1 : 0);
-  return total > 0 &&
-         static_cast<double>(expired) > cfg_.degraded_view_threshold * static_cast<double>(total);
+  return !row.empty() && static_cast<double>(expired) >
+                             cfg_.degraded_view_threshold * static_cast<double>(row.size());
 }
 
 std::size_t Router::holddown_key(NodeId dst, NodeId via) const {
@@ -192,7 +186,7 @@ void Router::register_down(NodeId dst, const PathSpec& path, TimePoint now) {
   if (h.strikes > 0 && now - h.last_down > cfg_.holddown_reset) h.strikes = 0;
   h.last_down = now;
   if (now < h.until) return;  // already serving a hold-down; don't escalate per query
-  h.strikes = std::min(h.strikes + 1, 20);
+  h.strikes = std::min(h.strikes + 1, kMaxStrikes);
   Duration ban = cfg_.holddown_base;
   for (int i = 1; i < h.strikes && ban < cfg_.holddown_max; ++i) {
     ban = Duration::saturating_add(ban, ban);
@@ -207,38 +201,40 @@ void Router::count_switch(std::int64_t& counter, const std::optional<PathSpec>& 
 }
 
 const std::vector<bool>* Router::exclusion_mask(NodeId dst, TimePoint now) {
+  const NeighborSet& graph = table_.graph();
   const std::size_t n = table_.size();
-  if (restricted()) {
-    // Start from everything excluded and open up the candidate set, so
-    // the engine's relax never touches non-candidates at all.
-    excluded_scratch_.assign(n, true);
-    for (const NodeId v : nbrs_->neighbors(self_)) excluded_scratch_[v] = false;
-    for (const NodeId v : nbrs_->neighbors(dst)) excluded_scratch_[v] = false;
-    for (const NodeId v : nbrs_->landmarks()) excluded_scratch_[v] = false;
-    excluded_scratch_[self_] = false;
-    excluded_scratch_[dst] = false;
-    if (cfg_.holddown_base > Duration::zero()) {
-      for (const auto& [key, h] : holddown_) {
-        if (key / (n + 1) != dst) continue;
-        const std::size_t slot = key % (n + 1);
-        if (slot < n && h.until > now) excluded_scratch_[slot] = true;
+  const bool restricted = !graph.complete(self_);
+  const bool holds = cfg_.holddown_base > Duration::zero() && !holddown_.empty();
+  if (!restricted && !holds) return nullptr;
+  // Open the candidate set (everything when self's row is complete), so
+  // the engine's relax never touches non-candidates at all; then close
+  // the held-down vias.
+  excluded_scratch_.assign(n, restricted);
+  std::size_t closed = restricted ? n : 0;
+  if (restricted) {
+    const auto open = [&](NodeId v) {
+      if (excluded_scratch_[v]) {
+        excluded_scratch_[v] = false;
+        --closed;
+      }
+    };
+    for (const NodeId v : graph.neighbors(self_)) open(v);
+    for (const NodeId v : graph.neighbors(dst)) open(v);
+    for (const NodeId v : graph.landmarks()) open(v);
+    open(self_);
+    open(dst);
+  }
+  if (holds) {
+    for (const auto& [key, h] : holddown_) {
+      if (key / (n + 1) != dst) continue;
+      const std::size_t slot = key % (n + 1);
+      if (slot < n && h.until > now && !excluded_scratch_[slot]) {
+        excluded_scratch_[slot] = true;
+        ++closed;
       }
     }
-    return &excluded_scratch_;
   }
-  // Legacy unrestricted path: hold-downs only, nullptr when none bite.
-  if (cfg_.holddown_base <= Duration::zero() || holddown_.empty()) return nullptr;
-  excluded_scratch_.assign(n, false);
-  bool any = false;
-  for (const auto& [key, h] : holddown_) {
-    if (key / (n + 1) != dst) continue;
-    const std::size_t slot = key % (n + 1);
-    if (slot < n && h.until > now) {
-      excluded_scratch_[slot] = true;
-      any = true;
-    }
-  }
-  return any ? &excluded_scratch_ : nullptr;
+  return closed > 0 ? &excluded_scratch_ : nullptr;
 }
 
 PathChoice Router::evaluate_loss(NodeId dst, DstState& st, TimePoint now) {
@@ -373,17 +369,23 @@ void Router::save_state(snap::Encoder& e) const {
 
 void Router::restore_state(snap::Decoder& d) {
   d.expect_tag("ROUT");
-  const auto get_path = [&](std::optional<PathSpec>& p) {
-    if (d.b()) {
-      PathSpec spec;
-      spec.src = static_cast<NodeId>(d.u64());
-      spec.dst = static_cast<NodeId>(d.u64());
-      spec.via = static_cast<NodeId>(d.u64());
-      spec.via2 = static_cast<NodeId>(d.u64());
-      p = spec;
-    } else {
+  const auto get_path = [&](std::optional<PathSpec>& p, std::uint64_t dst) {
+    if (!d.b()) {
       p.reset();
+      return;
     }
+    // Range-check before narrowing to NodeId so an out-of-range value
+    // cannot alias a valid id.
+    PathSpec spec;
+    for (NodeId* field : {&spec.src, &spec.dst, &spec.via, &spec.via2}) {
+      const std::uint64_t v = d.u64();
+      *field = v <= kDirectVia ? static_cast<NodeId>(v) : kInvalidNode;
+    }
+    if (!well_formed(spec, static_cast<NodeId>(dst))) {
+      throw snap::SnapshotError("snapshot: router " + std::to_string(self_) +
+                                " has a malformed incumbent for dst " + std::to_string(dst));
+    }
+    p = spec;
   };
   const std::uint64_t n_dst = d.count(19);
   dst_states_.clear();
@@ -396,8 +398,8 @@ void Router::restore_state(snap::Decoder& d) {
     }
     prev_dst = dst;
     DstState st;
-    get_path(st.loss_path);
-    get_path(st.lat_path);
+    get_path(st.loss_path, dst);
+    get_path(st.lat_path, dst);
     st.loss_switches = d.i64();
     st.lat_switches = d.i64();
     dst_states_.emplace_back(static_cast<NodeId>(dst), std::move(st));
@@ -415,9 +417,21 @@ void Router::restore_state(snap::Decoder& d) {
     Holddown h;
     h.until = d.time();
     h.last_down = d.time();
-    h.strikes = static_cast<int>(d.i64());
+    const std::int64_t strikes = d.i64();
+    if (strikes < 0 || strikes > kMaxStrikes) {
+      throw snap::SnapshotError("snapshot: router hold-down strikes outside [0, " +
+                                std::to_string(kMaxStrikes) + "]");
+    }
+    h.strikes = static_cast<int>(strikes);
     holddown_.emplace_back(static_cast<std::size_t>(key), h);
   }
+}
+
+bool Router::well_formed(const PathSpec& p, NodeId dst) const {
+  const std::size_t n = table_.size();
+  const bool via_ok = p.via == kDirectVia || p.via < n;
+  const bool via2_ok = p.via2 == kDirectVia || (p.via2 < n && p.via != kDirectVia);
+  return p.src == self_ && p.dst == dst && via_ok && via2_ok;
 }
 
 void Router::check_invariants(TimePoint now, std::vector<std::string>& out) const {
@@ -432,7 +446,9 @@ void Router::check_invariants(TimePoint now, std::vector<std::string>& out) cons
     }
     // Strike monotonicity: strikes only move in [0, 20], and a live ban
     // implies at least one strike.
-    if (h.strikes < 0 || h.strikes > 20) out.push_back(slot + ": strikes outside [0,20]");
+    if (h.strikes < 0 || h.strikes > kMaxStrikes) {
+      out.push_back(slot + ": strikes outside [0," + std::to_string(kMaxStrikes) + "]");
+    }
     if (h.until > TimePoint::epoch() && h.strikes == 0) {
       out.push_back(slot + ": ban without a strike");
     }
@@ -452,10 +468,7 @@ void Router::check_invariants(TimePoint now, std::vector<std::string>& out) cons
       out.push_back(who + ": destination state keys out of order");
     }
     const auto check_path = [&](const std::optional<PathSpec>& p, const char* kind) {
-      if (!p) return;
-      const bool via_ok = p->via == kDirectVia || p->via < n;
-      const bool via2_ok = p->via2 == kDirectVia || p->via2 < n;
-      if (p->src != self_ || p->dst != dst || !via_ok || !via2_ok) {
+      if (p && !well_formed(*p, dst)) {
         out.push_back(who + ": malformed " + kind + " incumbent for dst " +
                       std::to_string(dst));
       }

@@ -23,14 +23,14 @@
 // exponentially growing hold-down before it can be re-selected, bounding
 // flap amplification.
 //
-// Scaling (DESIGN.md §14): constructed over a capped NeighborSet the
-// router restricts relay candidates to N(self) u N(dst) u landmarks via
-// the engine's exclusion mask, its degraded-view denominator becomes
-// the neighbor row, and per-destination state (incumbents, switch
-// counters, hold-downs) lives in sorted flat maps populated on first
-// touch — O(destinations actually routed), not O(n) per router. Over a
-// full mesh (or with no NeighborSet) every code path reduces to the
-// legacy behaviour bit for bit.
+// Scaling (DESIGN.md §14): the router reads the neighbor graph from its
+// link-state table. Relay candidates are N(self) u N(dst) u landmarks,
+// applied through the engine's exclusion mask; that is every node when
+// the router's own row is complete (the full mesh, or a landmark). The
+// degraded-view denominator is the router's stored row, and
+// per-destination state (incumbents, switch counters, hold-downs) lives
+// in sorted flat maps populated on first touch — O(destinations
+// actually routed), not O(n) per router.
 
 #ifndef RONPATH_OVERLAY_ROUTER_H_
 #define RONPATH_OVERLAY_ROUTER_H_
@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "overlay/link_state.h"
-#include "overlay/neighbors.h"
 #include "util/ids.h"
 #include "util/time.h"
 
@@ -144,12 +143,8 @@ struct PathChoice {
 
 class Router {
  public:
-  // `neighbors`, when non-null and not a full mesh, restricts relay
-  // candidates and scopes the degraded-view scan to the neighbor row;
-  // it must outlive the router. Null (or full mesh) is the legacy
-  // unrestricted router.
-  Router(NodeId self, const LinkStateTable& table, RouterConfig cfg,
-         const NeighborSet* neighbors = nullptr);
+  // `table` (and the graph it is built over) must outlive the router.
+  Router(NodeId self, const LinkStateTable& table, RouterConfig cfg);
   ~Router();  // out of line: PathEngine is incomplete here
 
   // Best path choices under each objective; re-evaluated on demand.
@@ -187,11 +182,14 @@ class Router {
                                                   TimePoint now = TimePoint::epoch()) const;
 
   // Candidate intermediates that currently seem up (excludes self, dst;
-  // restricted to N(self) u N(dst) u landmarks over a capped graph).
+  // restricted to N(self) u N(dst) u landmarks).
   [[nodiscard]] std::vector<NodeId> live_intermediates(NodeId dst) const;
 
   // Snapshot support: incumbents, switch counters and hold-down state.
   // The path engine holds only per-query scratch and is not serialized.
+  // restore_state rejects malformed incumbents (wrong endpoints, a relay
+  // outside [0, n), a second relay without a first) and hold-down
+  // strikes outside [0, 20].
   void save_state(snap::Encoder& e) const;
   void restore_state(snap::Decoder& d);
 
@@ -213,12 +211,13 @@ class Router {
     TimePoint last_down;  // last down event (drives strike decay)
     int strikes = 0;
   };
+  static constexpr int kMaxStrikes = 20;
 
   [[nodiscard]] PathChoice evaluate_loss(NodeId dst, DstState& st, TimePoint now);
   [[nodiscard]] PathChoice evaluate_lat(NodeId dst, DstState& st, TimePoint now);
-  // Builds the per-destination engine exclusion mask: hold-downs, plus
-  // (over a capped graph) everything outside the candidate set. Returns
-  // nullptr when nothing is excluded (the legacy common case).
+  // Builds the per-destination engine exclusion mask: everything outside
+  // the candidate set, plus held-down vias. Returns nullptr when nothing
+  // is excluded.
   [[nodiscard]] const std::vector<bool>* exclusion_mask(NodeId dst, TimePoint now);
   // Registers a down event on the incumbent's via, escalating hold-down.
   void register_down(NodeId dst, const PathSpec& path, TimePoint now);
@@ -228,13 +227,14 @@ class Router {
   [[nodiscard]] DstState& dst_state(NodeId dst);
   [[nodiscard]] const DstState* find_dst(NodeId dst) const;
   [[nodiscard]] const Holddown* find_holddown(std::size_t key) const;
-  [[nodiscard]] bool restricted() const { return nbrs_ != nullptr && !nbrs_->full(); }
   [[nodiscard]] bool is_candidate(NodeId v, NodeId dst) const;
+  // An incumbent for `dst` starts at self, ends at dst, and names relays
+  // in [0, n), a second one only after a first.
+  [[nodiscard]] bool well_formed(const PathSpec& p, NodeId dst) const;
 
   NodeId self_;
   const LinkStateTable& table_;
   RouterConfig cfg_;
-  const NeighborSet* nbrs_ = nullptr;
   // Sorted flat maps: key order is the serialization order, so
   // snapshots are deterministic regardless of touch order.
   std::vector<std::pair<NodeId, DstState>> dst_states_;

@@ -35,7 +35,7 @@ std::vector<std::uint8_t> seal(std::uint64_t fingerprint,
                                const std::vector<std::uint8_t>& payload) {
   std::vector<std::uint8_t> out;
   out.reserve(kSnapshotHeaderBytes + payload.size() + 8);
-  out.insert(out.end(), kMagic, kMagic + sizeof kMagic);
+  for (const char c : kMagic) out.push_back(static_cast<std::uint8_t>(c));
   put_u32(out, kSnapshotVersion);
   put_u64(out, fingerprint);
   put_u64(out, payload.size());

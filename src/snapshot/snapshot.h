@@ -5,10 +5,10 @@
 //
 //   offset  size  field
 //        0     8  magic "RONPSNAP"
-//        8     4  format version (currently 6: NETW drops the lazy/
-//                 eager marker and always lists the built cores; no RNG
-//                 discipline marker as in 5; WKLD workload sections as
-//                 in 4)
+//        8     4  format version (currently 7: a full-mesh LTAB holds
+//                 n(n-1) per-edge entries, not the n*n matrix; NETW
+//                 lists the built cores as in 6; no RNG discipline
+//                 marker as in 5; WKLD workload sections as in 4)
 //       12     8  context fingerprint (FNV-1a over scenario/scheme/
 //                 config/seed; see SimWorld::fingerprint)
 //       20     8  payload length in bytes
@@ -36,7 +36,7 @@
 
 namespace ronpath::snap {
 
-inline constexpr std::uint32_t kSnapshotVersion = 6;
+inline constexpr std::uint32_t kSnapshotVersion = 7;
 inline constexpr std::size_t kSnapshotHeaderBytes = 28;
 inline constexpr std::size_t kSnapshotMinBytes = kSnapshotHeaderBytes + 8;
 

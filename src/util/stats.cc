@@ -244,8 +244,12 @@ void P2Quantile::add(double x) {
 double P2Quantile::value() const {
   if (count_ == 0) return 0.0;
   if (count_ < 5) {
+    // At most four samples: insertion-sort a copy.
     std::array<double, 5> tmp = initial_;
-    std::sort(tmp.begin(), tmp.begin() + count_);
+    const auto k = static_cast<std::size_t>(count_);
+    for (std::size_t i = 1; i < k; ++i) {
+      for (std::size_t j = i; j > 0 && tmp[j] < tmp[j - 1]; --j) std::swap(tmp[j], tmp[j - 1]);
+    }
     const auto idx = static_cast<std::size_t>(
         std::min<double>(static_cast<double>(count_ - 1),
                          q_ * static_cast<double>(count_)));

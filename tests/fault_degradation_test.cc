@@ -52,7 +52,8 @@ TEST(Degradation, EntryExpiryRules) {
 }
 
 TEST(Degradation, ExpiredEntriesEstimateAsUnknown) {
-  LinkStateTable t(3);
+  const NeighborSet mesh = NeighborSet::full_mesh(3);
+  LinkStateTable t(mesh);
   fill(t, 0.001, Duration::millis(10), at_s(0));
   RouterConfig cfg;
   cfg.entry_ttl = Duration::seconds(60);
@@ -68,7 +69,8 @@ TEST(Degradation, ExpiredEntriesEstimateAsUnknown) {
 }
 
 TEST(Degradation, UnknownLatencyDoesNotOverflowComposition) {
-  LinkStateTable t(4);
+  const NeighborSet mesh = NeighborSet::full_mesh(4);
+  LinkStateTable t(mesh);
   fill(t, 0.0, Duration::millis(10), at_s(0));
   RouterConfig cfg;
   cfg.entry_ttl = Duration::seconds(60);
@@ -82,7 +84,8 @@ TEST(Degradation, UnknownLatencyDoesNotOverflowComposition) {
 }
 
 TEST(Degradation, DegradedViewFallsBackToDirect) {
-  LinkStateTable t(4);
+  const NeighborSet mesh = NeighborSet::full_mesh(4);
+  LinkStateTable t(mesh);
   RouterConfig cfg;
   cfg.entry_ttl = Duration::seconds(60);
   // Node 0's own rows are ancient; everyone else's are fresh and report a
@@ -102,7 +105,8 @@ TEST(Degradation, DegradedViewFallsBackToDirect) {
 // -------------------------------------------------------------- hold-down
 
 TEST(Degradation, HolddownEscalatesExponentially) {
-  LinkStateTable t(3);
+  const NeighborSet mesh = NeighborSet::full_mesh(3);
+  LinkStateTable t(mesh);
   RouterConfig cfg;
   cfg.holddown_base = Duration::seconds(30);
   cfg.holddown_max = Duration::minutes(5);
@@ -136,7 +140,8 @@ TEST(Degradation, HolddownEscalatesExponentially) {
 }
 
 TEST(Degradation, HolddownStrikesDecayAfterQuietPeriod) {
-  LinkStateTable t(3);
+  const NeighborSet mesh = NeighborSet::full_mesh(3);
+  LinkStateTable t(mesh);
   RouterConfig cfg;
   cfg.holddown_base = Duration::seconds(30);
   cfg.holddown_reset = Duration::minutes(10);
@@ -161,7 +166,8 @@ TEST(Degradation, HolddownStrikesDecayAfterQuietPeriod) {
 }
 
 TEST(Degradation, KnobsOffReproducesHistoricalBehavior) {
-  LinkStateTable t(3);
+  const NeighborSet mesh = NeighborSet::full_mesh(3);
+  LinkStateTable t(mesh);
   fill(t, 0.2, Duration::millis(10), at_s(0));
   t.publish(0, 2, metrics(0.0, Duration::millis(10), at_s(0)));
   t.publish(2, 1, metrics(0.0, Duration::millis(10), at_s(0)));

@@ -1,7 +1,8 @@
-// Dense addressing on the capped control plane (DESIGN.md §14): edge ids
-// and their reverse edges, row/column views of the link-state table,
-// the inline bit-ring loss window, and the faulted-component bitset —
-// each checked against the keyed or naive form it replaces.
+// Dense addressing on the capped control plane (DESIGN.md §14): edge ids,
+// their reverse edges and the complete-row lookup, row/column views of
+// the link-state table, the inline bit-ring loss window, and the
+// faulted-component bitset — each checked against the keyed or naive
+// form it replaces.
 
 #include <gtest/gtest.h>
 
@@ -35,6 +36,9 @@ Topology topo_200() {
 
 // ------------------------------------------------------------ edge ids
 
+// Also checks every pair's adjacent/edge_index against a binary search
+// over the CSR row: on a complete row (degree n-1) both compute the rank
+// as d - (d > s) instead of searching.
 void expect_edge_ids_consistent(const NeighborSet& nbrs) {
   ASSERT_GT(nbrs.edge_count(), 0u);
   for (std::size_t e = 0; e < nbrs.edge_count(); ++e) {
@@ -52,19 +56,44 @@ void expect_edge_ids_consistent(const NeighborSet& nbrs) {
       EXPECT_EQ(nbrs.edge_source(e), s);
       EXPECT_EQ(nbrs.edge_target(e), row[rank]);
     }
+    for (NodeId d = 0; d < nbrs.size(); ++d) {
+      const auto it = std::lower_bound(row.begin(), row.end(), d);
+      const bool found = it != row.end() && *it == d;
+      ASSERT_EQ(nbrs.adjacent(s, d), found) << s << "->" << d;
+      if (found) {
+        ASSERT_EQ(nbrs.edge_index(s, d),
+                  nbrs.row_offset(s) + static_cast<std::size_t>(it - row.begin()))
+            << s << "->" << d;
+      }
+    }
   }
 }
 
 TEST(EdgeIds, ReverseEdgeIsAnEndpointSwappingInvolutionOnCappedGraph) {
   const Topology topo = topo_200();
   const NeighborSet nbrs = NeighborSet::build(topo, 8, 4);
-  ASSERT_FALSE(nbrs.full());
+  ASSERT_LT(nbrs.edge_count(), nbrs.size() * (nbrs.size() - 1));
+  // The landmark rows are complete; the rest are not.
+  ASSERT_EQ(nbrs.landmarks().size(), 4u);
+  for (NodeId s = 0; s < nbrs.size(); ++s) {
+    ASSERT_EQ(nbrs.complete(s), nbrs.is_landmark(s)) << "row " << s;
+  }
   expect_edge_ids_consistent(nbrs);
+
+  // A near-complete graph: rows one peer short of complete must still
+  // binary-search.
+  const Topology testbed = testbed_2003();
+  const NeighborSet dense = NeighborSet::build(testbed, testbed.size() - 4, 0);
+  std::size_t one_short = 0;
+  for (NodeId s = 0; s < dense.size(); ++s) one_short += dense.degree(s) + 2 == dense.size();
+  ASSERT_GT(one_short, 0u);
+  expect_edge_ids_consistent(dense);
 }
 
 TEST(EdgeIds, ReverseEdgeIsAnEndpointSwappingInvolutionOnFullMesh) {
   const NeighborSet nbrs = NeighborSet::full_mesh(40);
-  ASSERT_TRUE(nbrs.full());
+  ASSERT_EQ(nbrs.edge_count(), 40u * 39u);
+  for (NodeId s = 0; s < nbrs.size(); ++s) ASSERT_TRUE(nbrs.complete(s)) << "row " << s;
   expect_edge_ids_consistent(nbrs);
 }
 
@@ -105,35 +134,28 @@ void expect_views_match_get(const LinkStateTable& table) {
   }
 }
 
-TEST(LinkStateViews, FillRowAndColumnEqualGetOnSparseTable) {
+// Every table is CSR over its graph: a capped graph, the full mesh, and
+// a mostly-pristine full mesh with a single published entry.
+TEST(LinkStateViews, FillRowAndColumnEqualGet) {
   const Topology topo = topo_200();
-  const NeighborSet nbrs = NeighborSet::build(topo, 8, 4);
-  LinkStateTable table(nbrs.size(), &nbrs);
-  ASSERT_TRUE(table.sparse());
-  populate(table, nbrs);
-  expect_views_match_get(table);
-  for (NodeId s = 0; s < nbrs.size(); ++s) {
-    const auto row = table.row(s);
-    ASSERT_EQ(row.size(), nbrs.degree(s));
-    for (std::size_t rank = 0; rank < row.size(); ++rank) {
-      EXPECT_EQ(&row[rank], &table.get(s, nbrs.neighbors(s)[rank]));
+  const NeighborSet capped = NeighborSet::build(topo, 8, 4);
+  const NeighborSet mesh = NeighborSet::full_mesh(30);
+  for (const NeighborSet* nbrs : {&capped, &mesh}) {
+    SCOPED_TRACE("nodes " + std::to_string(nbrs->size()));
+    LinkStateTable table(*nbrs);
+    populate(table, *nbrs);
+    expect_views_match_get(table);
+    for (NodeId s = 0; s < nbrs->size(); ++s) {
+      const auto row = table.row(s);
+      ASSERT_EQ(row.size(), nbrs->degree(s));
+      for (std::size_t rank = 0; rank < row.size(); ++rank) {
+        EXPECT_EQ(&row[rank], &table.get(s, nbrs->neighbors(s)[rank]));
+      }
     }
   }
-}
 
-TEST(LinkStateViews, FillRowAndColumnEqualGetOnDenseTables) {
-  const NeighborSet mesh = NeighborSet::full_mesh(30);
-  LinkStateTable over_mesh(mesh.size(), &mesh);
-  ASSERT_FALSE(over_mesh.sparse());
-  populate(over_mesh, mesh);
-  expect_views_match_get(over_mesh);
-  for (NodeId s = 0; s < mesh.size(); ++s) {
-    const auto row = over_mesh.row(s);
-    ASSERT_EQ(row.size(), mesh.size());
-    for (NodeId x = 0; x < mesh.size(); ++x) EXPECT_EQ(&row[x], &over_mesh.get(s, x));
-  }
-
-  LinkStateTable bare(12);
+  const NeighborSet mesh_12 = NeighborSet::full_mesh(12);
+  LinkStateTable bare(mesh_12);
   LinkMetrics m;
   m.loss = 0.25;
   m.samples = 3;
@@ -144,8 +166,8 @@ TEST(LinkStateViews, FillRowAndColumnEqualGetOnDenseTables) {
 TEST(LinkStateViews, EdgePublishMatchesKeyedPublish) {
   const Topology topo = topo_200();
   const NeighborSet nbrs = NeighborSet::build(topo, 8, 4);
-  LinkStateTable by_edge(nbrs.size(), &nbrs);
-  LinkStateTable by_key(nbrs.size(), &nbrs);
+  LinkStateTable by_edge(nbrs);
+  LinkStateTable by_key(nbrs);
   for (std::size_t e = 0; e < nbrs.edge_count(); e += 3) {
     LinkMetrics m;
     m.loss = static_cast<double>(e % 10) / 10.0;

@@ -367,7 +367,8 @@ TEST(PathEngineDiff, MatchesNaiveAndEnumerationOnRandomTables) {
     const TimePoint now =
         TimePoint::epoch() + Duration::seconds(static_cast<std::int64_t>(100 + rng.next_below(400)));
     const RouterConfig cfg = random_cfg(rng);
-    LinkStateTable table(n);
+    const NeighborSet mesh = NeighborSet::full_mesh(n);
+    LinkStateTable table(mesh);
     random_table(rng, table, now);
     const auto src = static_cast<NodeId>(rng.next_below(n));
     auto dst = static_cast<NodeId>(rng.next_below(n));
@@ -428,7 +429,8 @@ TEST(PathEngineDiff, OneHopMatchesLegacyRouterScan) {
     const TimePoint now =
         TimePoint::epoch() + Duration::seconds(static_cast<std::int64_t>(100 + rng.next_below(400)));
     const RouterConfig cfg = random_cfg(rng);
-    LinkStateTable table(n);
+    const NeighborSet mesh = NeighborSet::full_mesh(n);
+    LinkStateTable table(mesh);
     random_table(rng, table, now);
     const auto src = static_cast<NodeId>(rng.next_below(n));
     auto dst = static_cast<NodeId>(rng.next_below(n));
@@ -495,7 +497,8 @@ TEST(PathEngineDiff, TwoHopValueMatchesLegacyInterleavedScan) {
     const TimePoint now = TimePoint::epoch();
     RouterConfig cfg = random_cfg(rng);
     cfg.entry_ttl = Duration::zero();  // the legacy scan trusted entries forever
-    LinkStateTable table(n);
+    const NeighborSet mesh = NeighborSet::full_mesh(n);
+    LinkStateTable table(mesh);
     random_table(rng, table, now);
     const auto src = static_cast<NodeId>(rng.next_below(n));
     auto dst = static_cast<NodeId>(rng.next_below(n));

@@ -43,7 +43,8 @@ void fill(LinkStateTable& t, double loss, Duration lat, TimePoint published = Ti
 // --- satellite: two-hop selector must honor entry-TTL staleness ------
 
 TEST(TwoHopStaleness, StaleRelayEntriesDegradeToUnknown) {
-  LinkStateTable t(4);
+  const NeighborSet mesh = NeighborSet::full_mesh(4);
+  LinkStateTable t(mesh);
   RouterConfig cfg;
   cfg.entry_ttl = Duration::seconds(60);
   const TimePoint now = TimePoint::epoch() + Duration::minutes(30);
@@ -74,7 +75,8 @@ TEST(TwoHopStaleness, StaleRelayEntriesDegradeToUnknown) {
 // --- satellite: hold-down must exclude every relay position ----------
 
 TEST(KHopHolddown, HeldDownNodeExcludedAsMiddleHop) {
-  LinkStateTable t(4);
+  const NeighborSet mesh = NeighborSet::full_mesh(4);
+  LinkStateTable t(mesh);
   RouterConfig cfg;
   cfg.max_intermediates = 2;
   cfg.holddown_base = Duration::seconds(30);
@@ -117,7 +119,8 @@ TEST(KHopHolddown, HeldDownNodeExcludedAsMiddleHop) {
 // --- satellite: degraded view falls back to direct at k > 1 ----------
 
 TEST(KHopDegradedView, AllStaleEntriesFallBackToDirect) {
-  LinkStateTable t(5);
+  const NeighborSet mesh = NeighborSet::full_mesh(5);
+  LinkStateTable t(mesh);
   RouterConfig cfg;
   cfg.max_intermediates = 2;
   cfg.entry_ttl = Duration::seconds(60);
@@ -137,7 +140,8 @@ TEST(KHopDegradedView, AllStaleEntriesFallBackToDirect) {
 // --- satellite: Duration sentinel saturation in multi-hop chains -----
 
 TEST(KHopLatencySentinel, UnmeasuredLinkPoisonsWholeChain) {
-  LinkStateTable t(4);
+  const NeighborSet mesh = NeighborSet::full_mesh(4);
+  LinkStateTable t(mesh);
   RouterConfig cfg;
 
   // Direct is slow but measured; the only cheap alternative is the chain
@@ -169,7 +173,7 @@ TEST(KHopLatencySentinel, UnmeasuredLinkPoisonsWholeChain) {
 
   // Near-overflow saturation: two huge-but-finite links must saturate
   // toward max() rather than wrapping negative and winning.
-  LinkStateTable t2(4);
+  LinkStateTable t2(mesh);
   fill(t2, 0.0, Duration::nanos(std::numeric_limits<std::int64_t>::max() / 2));
   t2.publish(0, 1, metrics(0.0, Duration::seconds(9)));
   PathEngine engine2(t2, cfg);
@@ -190,7 +194,8 @@ TEST(PathDepthConfig, ExperimentRejectsOutOfRangeDepth) {
 }
 
 TEST(PathDepthConfig, RouterClampsDepthToForwardingLimit) {
-  LinkStateTable t(4);
+  const NeighborSet mesh = NeighborSet::full_mesh(4);
+  LinkStateTable t(mesh);
   fill(t, 0.3, Duration::millis(40));
   t.publish(0, 1, metrics(0.5, Duration::millis(40)));
   t.publish(0, 2, metrics(0.0, Duration::millis(40)));

@@ -29,20 +29,23 @@ void fill(LinkStateTable& t, double loss, Duration lat) {
 }
 
 TEST(PathEstimates, DirectUsesSingleLink) {
-  LinkStateTable t(3);
+  const NeighborSet mesh = NeighborSet::full_mesh(3);
+  LinkStateTable t(mesh);
   fill(t, 0.01, Duration::millis(50));
   EXPECT_DOUBLE_EQ(path_loss_estimate(t, PathSpec{0, 1, kDirectVia}), 0.01);
 }
 
 TEST(PathEstimates, IndirectComposesLoss) {
-  LinkStateTable t(3);
+  const NeighborSet mesh = NeighborSet::full_mesh(3);
+  LinkStateTable t(mesh);
   fill(t, 0.1, Duration::millis(50));
   const double expected = 1.0 - 0.9 * 0.9;
   EXPECT_NEAR(path_loss_estimate(t, PathSpec{0, 1, 2}), expected, 1e-12);
 }
 
 TEST(PathEstimates, DownLinkIsTotalLoss) {
-  LinkStateTable t(3);
+  const NeighborSet mesh = NeighborSet::full_mesh(3);
+  LinkStateTable t(mesh);
   fill(t, 0.0, Duration::millis(10));
   t.publish(0, 1, metrics(0.0, Duration::millis(10), /*down=*/true));
   EXPECT_DOUBLE_EQ(path_loss_estimate(t, PathSpec{0, 1, kDirectVia}), 1.0);
@@ -51,7 +54,8 @@ TEST(PathEstimates, DownLinkIsTotalLoss) {
 }
 
 TEST(PathEstimates, LatencySumsWithForwarding) {
-  LinkStateTable t(3);
+  const NeighborSet mesh = NeighborSet::full_mesh(3);
+  LinkStateTable t(mesh);
   fill(t, 0.0, Duration::millis(30));
   RouterConfig cfg;
   cfg.forward_delay = Duration::millis(1);
@@ -59,7 +63,8 @@ TEST(PathEstimates, LatencySumsWithForwarding) {
 }
 
 TEST(PathEstimates, UnmeasuredLatencySaturates) {
-  LinkStateTable t(3);
+  const NeighborSet mesh = NeighborSet::full_mesh(3);
+  LinkStateTable t(mesh);
   fill(t, 0.0, Duration::millis(30));
   t.publish(0, 2, metrics(0.0, Duration::max()));
   RouterConfig cfg;
@@ -67,7 +72,8 @@ TEST(PathEstimates, UnmeasuredLatencySaturates) {
 }
 
 TEST(Router, PrefersDirectOnTies) {
-  LinkStateTable t(5);
+  const NeighborSet mesh = NeighborSet::full_mesh(5);
+  LinkStateTable t(mesh);
   fill(t, 0.01, Duration::millis(40));
   Router r(0, t, RouterConfig{});
   const auto choice = r.best_loss_path(1);
@@ -75,7 +81,8 @@ TEST(Router, PrefersDirectOnTies) {
 }
 
 TEST(Router, AvoidsLossyDirectWhenClearlyWorse) {
-  LinkStateTable t(4);
+  const NeighborSet mesh = NeighborSet::full_mesh(4);
+  LinkStateTable t(mesh);
   fill(t, 0.005, Duration::millis(40));
   t.publish(0, 1, metrics(0.30, Duration::millis(40)));  // bad direct
   Router r(0, t, RouterConfig{});
@@ -85,7 +92,8 @@ TEST(Router, AvoidsLossyDirectWhenClearlyWorse) {
 }
 
 TEST(Router, IndirectPenaltySuppressesNoise) {
-  LinkStateTable t(4);
+  const NeighborSet mesh = NeighborSet::full_mesh(4);
+  LinkStateTable t(mesh);
   fill(t, 0.0, Duration::millis(40));
   // Direct slightly lossy but within the indirect penalty: stays direct.
   RouterConfig cfg;
@@ -96,7 +104,8 @@ TEST(Router, IndirectPenaltySuppressesNoise) {
 }
 
 TEST(Router, LossHysteresisKeepsIncumbent) {
-  LinkStateTable t(4);
+  const NeighborSet mesh = NeighborSet::full_mesh(4);
+  LinkStateTable t(mesh);
   fill(t, 0.005, Duration::millis(40));
   t.publish(0, 1, metrics(0.40, Duration::millis(40)));
   RouterConfig cfg;
@@ -115,7 +124,8 @@ TEST(Router, LossHysteresisKeepsIncumbent) {
 }
 
 TEST(Router, SwitchesWhenIncumbentGoesDown) {
-  LinkStateTable t(4);
+  const NeighborSet mesh = NeighborSet::full_mesh(4);
+  LinkStateTable t(mesh);
   fill(t, 0.005, Duration::millis(40));
   t.publish(0, 1, metrics(0.40, Duration::millis(40)));
   Router r(0, t, RouterConfig{});
@@ -127,7 +137,8 @@ TEST(Router, SwitchesWhenIncumbentGoesDown) {
 }
 
 TEST(Router, LatencyPrefersFasterIndirect) {
-  LinkStateTable t(4);
+  const NeighborSet mesh = NeighborSet::full_mesh(4);
+  LinkStateTable t(mesh);
   fill(t, 0.0, Duration::millis(60));
   // Via node 2 is much faster on both legs (triangle violation).
   t.publish(0, 2, metrics(0.0, Duration::millis(10)));
@@ -139,7 +150,8 @@ TEST(Router, LatencyPrefersFasterIndirect) {
 }
 
 TEST(Router, LatencyAvoidsDownLinks) {
-  LinkStateTable t(4);
+  const NeighborSet mesh = NeighborSet::full_mesh(4);
+  LinkStateTable t(mesh);
   fill(t, 0.0, Duration::millis(60));
   t.publish(0, 1, metrics(0.0, Duration::millis(5), /*down=*/true));  // fast but dead
   Router r(0, t, RouterConfig{});
@@ -148,7 +160,8 @@ TEST(Router, LatencyAvoidsDownLinks) {
 }
 
 TEST(Router, LatencyHysteresis) {
-  LinkStateTable t(4);
+  const NeighborSet mesh = NeighborSet::full_mesh(4);
+  LinkStateTable t(mesh);
   fill(t, 0.0, Duration::millis(50));
   Router r(0, t, RouterConfig{});
   const auto first = r.best_lat_path(1);
@@ -164,7 +177,8 @@ TEST(Router, LatencyHysteresis) {
 }
 
 TEST(Router, LiveIntermediatesExcludesEndpointsAndDown) {
-  LinkStateTable t(5);
+  const NeighborSet mesh = NeighborSet::full_mesh(5);
+  LinkStateTable t(mesh);
   fill(t, 0.0, Duration::millis(10));
   // Node 3 appears down on all links.
   for (NodeId o = 0; o < 5; ++o) {
@@ -183,7 +197,8 @@ TEST(Router, LiveIntermediatesExcludesEndpointsAndDown) {
 }
 
 TEST(Router, TwoHopComposesLoss) {
-  LinkStateTable t(4);
+  const NeighborSet mesh = NeighborSet::full_mesh(4);
+  LinkStateTable t(mesh);
   fill(t, 0.1, Duration::millis(50));
   const double expected = 1.0 - 0.9 * 0.9 * 0.9;
   EXPECT_NEAR(path_loss_estimate(t, PathSpec{0, 1, 2, 3}), expected, 1e-12);
@@ -192,7 +207,8 @@ TEST(Router, TwoHopComposesLoss) {
 TEST(Router, TwoHopSelectorFindsCleanRelayChain) {
   // Direct and ALL single-hop alternates are poisoned; only the chain
   // 0 -> 2 -> 3 -> 1 is clean.
-  LinkStateTable t(4);
+  const NeighborSet mesh = NeighborSet::full_mesh(4);
+  LinkStateTable t(mesh);
   fill(t, 0.5, Duration::millis(40));
   t.publish(0, 2, metrics(0.0, Duration::millis(40)));
   t.publish(2, 3, metrics(0.0, Duration::millis(40)));
@@ -208,7 +224,8 @@ TEST(Router, TwoHopSelectorFindsCleanRelayChain) {
 }
 
 TEST(Router, TwoHopPrefersSimplerPathsOnTies) {
-  LinkStateTable t(5);
+  const NeighborSet mesh = NeighborSet::full_mesh(5);
+  LinkStateTable t(mesh);
   fill(t, 0.0, Duration::millis(40));
   Router r(0, t, RouterConfig{});
   // Everything clean: direct wins (penalties bias against hops).
@@ -216,12 +233,14 @@ TEST(Router, TwoHopPrefersSimplerPathsOnTies) {
 }
 
 TEST(LinkStateTable, NodeSeemsUpBeforeAnyProbes) {
-  LinkStateTable t(3);
+  const NeighborSet mesh = NeighborSet::full_mesh(3);
+  LinkStateTable t(mesh);
   EXPECT_TRUE(t.node_seems_up(0));
 }
 
 TEST(LinkStateTable, PublishAndGet) {
-  LinkStateTable t(3);
+  const NeighborSet mesh = NeighborSet::full_mesh(3);
+  LinkStateTable t(mesh);
   t.publish(0, 1, metrics(0.25, Duration::millis(99)));
   EXPECT_DOUBLE_EQ(t.get(0, 1).loss, 0.25);
   EXPECT_EQ(t.get(0, 1).latency, Duration::millis(99));

@@ -18,6 +18,7 @@
 #include "net/network.h"
 #include "overlay/estimator.h"
 #include "overlay/overlay.h"
+#include "overlay/router.h"
 #include "snapshot/codec.h"
 #include "snapshot/snapshot.h"
 #include "snapshot/world.h"
@@ -153,21 +154,25 @@ TEST(SnapshotEnvelope, BadMagicIsRejectedWithDiagnostic) {
 TEST(SnapshotEnvelope, VersionSkewIsRejectedWithDiagnostic) {
   // Patch the version field and re-seal the CRC so version skew is the
   // *only* defect — the error must name the version, not the checksum.
-  std::vector<std::uint8_t> mutated = corpus().front().file;
-  mutated[8] = 99;
-  const std::size_t body = mutated.size() - 8;
-  const std::uint64_t crc = snap::crc64(mutated.data(), body);
-  for (int i = 0; i < 8; ++i) {
-    mutated[body + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>((crc >> (8 * i)) & 0xff);
-  }
-  try {
-    (void)snap::unseal(mutated, corpus().front().fingerprint);
-    FAIL() << "version 99 accepted";
-  } catch (const snap::SnapshotError& err) {
-    const std::string what = err.what();
-    EXPECT_NE(what.find("version"), std::string::npos) << what;
-    EXPECT_NE(what.find("99"), std::string::npos) << what;
+  // The previous format (whose full-mesh LTAB was an n*n matrix) is
+  // rejected the same way as an unknown future one.
+  for (const std::uint32_t version : {snap::kSnapshotVersion - 1, std::uint32_t{99}}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    std::vector<std::uint8_t> mutated = corpus().front().file;
+    mutated[8] = static_cast<std::uint8_t>(version);
+    const std::size_t body = mutated.size() - 8;
+    const std::uint64_t crc = snap::crc64(mutated.data(), body);
+    for (int i = 0; i < 8; ++i) {
+      mutated[body + static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>((crc >> (8 * i)) & 0xff);
+    }
+    try {
+      (void)snap::unseal(mutated, corpus().front().fingerprint);
+      FAIL() << "version " << version << " accepted";
+    } catch (const snap::SnapshotError& err) {
+      const std::string what = err.what();
+      EXPECT_NE(what.find("version " + std::to_string(version)), std::string::npos) << what;
+    }
   }
 }
 
@@ -273,7 +278,7 @@ struct CappedOverlayRig {
 TEST(SnapshotCorruption, FollowupOnNonEdgeIsRejected) {
   CappedOverlayRig rig;
   const NeighborSet& nbrs = rig.overlay.neighbors();
-  ASSERT_FALSE(nbrs.full());
+  ASSERT_LT(nbrs.edge_count(), nbrs.size() * (nbrs.size() - 1));
   NodeId a = kInvalidNode;
   NodeId b = kInvalidNode;
   for (NodeId s = 0; s < nbrs.size() && a == kInvalidNode; ++s) {
@@ -330,6 +335,84 @@ TEST(SnapshotCorruption, EstimatorLostCountMustMatchWindow) {
     LinkEstimator restored(100, 0.1);
     snap::Decoder d(bytes);
     EXPECT_THROW(restored.restore_state(d), snap::SnapshotError) << "lost count " << bad;
+  }
+}
+
+// A router's saved state names its incumbents by node id. Each way an
+// incumbent or a hold-down strike count can be out of shape must be
+// rejected on restore, before a route query reads the table through it.
+TEST(SnapshotCorruption, MalformedRouterStateIsRejected) {
+  const NeighborSet mesh = NeighborSet::full_mesh(4);
+  LinkStateTable table(mesh);
+  RouterConfig cfg;
+  cfg.holddown_base = Duration::seconds(30);
+  struct Incumbent {
+    std::uint64_t src, dst, via, via2;
+  };
+  // One destination (1) with a loss incumbent, and one hold-down on
+  // (dst 1, via 2).
+  const auto payload = [](Incumbent p, std::int64_t strikes) {
+    snap::Encoder e;
+    e.tag("ROUT");
+    e.u64(1);
+    e.u64(1);
+    e.b(true);
+    e.u64(p.src);
+    e.u64(p.dst);
+    e.u64(p.via);
+    e.u64(p.via2);
+    e.b(false);
+    e.i64(0);
+    e.i64(0);
+    e.u64(1);
+    e.u64(1 * (4 + 1) + 2);
+    e.time(TimePoint::epoch() + Duration::seconds(30));
+    e.time(TimePoint::epoch());
+    e.i64(strikes);
+    return e.bytes();
+  };
+  const std::uint64_t direct = kDirectVia;
+  {
+    Router ok(0, table, cfg);
+    const std::vector<std::uint8_t> bytes = payload({0, 1, 2, 3}, 1);
+    snap::Decoder d(bytes);
+    ASSERT_NO_THROW(ok.restore_state(d));
+    std::vector<std::string> violations;
+    ok.check_invariants(TimePoint::epoch() + Duration::seconds(1), violations);
+    EXPECT_TRUE(violations.empty()) << violations.front();
+    (void)ok.best_loss_path(1);
+  }
+  const std::vector<std::pair<Incumbent, const char*>> bad_paths = {
+      {{0, 1, 60000, direct}, "via out of range"},
+      {{0, 1, 4, direct}, "via == n"},
+      {{0, 1, 2, 60000}, "via2 out of range"},
+      {{0, 1, direct, 2}, "via2 without via"},
+      {{2, 1, 3, direct}, "src is not the router"},
+      {{0, 2, 3, direct}, "dst is not the key"},
+      {{0, 65537, 3, direct}, "dst aliases the key after narrowing"},
+  };
+  for (const auto& [path, why] : bad_paths) {
+    Router r(0, table, cfg);
+    const std::vector<std::uint8_t> bytes = payload(path, 1);
+    snap::Decoder d(bytes);
+    try {
+      r.restore_state(d);
+      FAIL() << why << ": restored";
+    } catch (const snap::SnapshotError& err) {
+      EXPECT_NE(std::string(err.what()).find("incumbent"), std::string::npos)
+          << why << ": " << err.what();
+    }
+  }
+  for (const std::int64_t strikes : {std::int64_t{-1}, std::int64_t{21}, std::int64_t{1} << 32}) {
+    Router r(0, table, cfg);
+    const std::vector<std::uint8_t> bytes = payload({0, 1, 2, direct}, strikes);
+    snap::Decoder d(bytes);
+    try {
+      r.restore_state(d);
+      FAIL() << strikes << " strikes restored";
+    } catch (const snap::SnapshotError& err) {
+      EXPECT_NE(std::string(err.what()).find("strikes"), std::string::npos) << err.what();
+    }
   }
 }
 

@@ -325,7 +325,8 @@ TEST(SnapshotEstimator, LinkEstimatorRoundTripStaysInLockstep) {
 }
 
 TEST(SnapshotLinkState, TableRoundTripAndSizeMismatch) {
-  LinkStateTable table(3);
+  const NeighborSet mesh = NeighborSet::full_mesh(3);
+  LinkStateTable table(mesh);
   LinkMetrics m;
   m.loss = 0.25;
   m.latency = Duration::millis(40);
@@ -338,7 +339,12 @@ TEST(SnapshotLinkState, TableRoundTripAndSizeMismatch) {
 
   snap::Encoder e;
   table.save_state(e);
-  LinkStateTable restored(3);
+  // One entry per directed edge of the full mesh: n(n-1), no diagonal.
+  snap::Decoder header(e.bytes());
+  header.expect_tag("LTAB");
+  EXPECT_EQ(header.u64(), 3u * 2u);
+
+  LinkStateTable restored(mesh);
   snap::Decoder d(e.bytes());
   restored.restore_state(d);
   EXPECT_EQ(restored.get(0, 1).loss, 0.25);
@@ -350,14 +356,16 @@ TEST(SnapshotLinkState, TableRoundTripAndSizeMismatch) {
   restored.check_invariants(TimePoint::epoch() + Duration::minutes(3), violations);
   EXPECT_TRUE(violations.empty()) << violations.front();
 
-  LinkStateTable wrong_size(4);
+  const NeighborSet mesh_4 = NeighborSet::full_mesh(4);
+  LinkStateTable wrong_size(mesh_4);
   snap::Decoder d2(e.bytes());
   EXPECT_THROW(wrong_size.restore_state(d2), snap::SnapshotError);
 }
 
 TEST(SnapshotRouter, HolddownAndIncumbentsRoundTrip) {
   const std::size_t n = 4;
-  LinkStateTable table(n);
+  const NeighborSet mesh = NeighborSet::full_mesh(n);
+  LinkStateTable table(mesh);
   RouterConfig cfg;
   cfg.holddown_base = Duration::seconds(30);
   cfg.entry_ttl = Duration::seconds(75);
