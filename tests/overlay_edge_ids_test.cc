@@ -134,25 +134,30 @@ void expect_views_match_get(const LinkStateTable& table) {
   }
 }
 
-// Every table is CSR over its graph: a capped graph, the full mesh, and
-// a mostly-pristine full mesh with a single published entry.
-TEST(LinkStateViews, FillRowAndColumnEqualGet) {
-  const Topology topo = topo_200();
-  const NeighborSet capped = NeighborSet::build(topo, 8, 4);
-  const NeighborSet mesh = NeighborSet::full_mesh(30);
-  for (const NeighborSet* nbrs : {&capped, &mesh}) {
-    SCOPED_TRACE("nodes " + std::to_string(nbrs->size()));
-    LinkStateTable table(*nbrs);
-    populate(table, *nbrs);
-    expect_views_match_get(table);
-    for (NodeId s = 0; s < nbrs->size(); ++s) {
-      const auto row = table.row(s);
-      ASSERT_EQ(row.size(), nbrs->degree(s));
-      for (std::size_t rank = 0; rank < row.size(); ++rank) {
-        EXPECT_EQ(&row[rank], &table.get(s, nbrs->neighbors(s)[rank]));
-      }
+// Every table is CSR over its graph: the views and row() must agree with
+// get() whether the graph is capped or complete.
+void expect_csr_views_match_get(const NeighborSet& nbrs) {
+  LinkStateTable table(nbrs);
+  populate(table, nbrs);
+  expect_views_match_get(table);
+  for (NodeId s = 0; s < nbrs.size(); ++s) {
+    const auto row = table.row(s);
+    ASSERT_EQ(row.size(), nbrs.degree(s));
+    for (std::size_t rank = 0; rank < row.size(); ++rank) {
+      EXPECT_EQ(&row[rank], &table.get(s, nbrs.neighbors(s)[rank]));
     }
   }
+}
+
+TEST(LinkStateViews, FillRowAndColumnEqualGetOnSparseTable) {
+  const Topology topo = topo_200();
+  expect_csr_views_match_get(NeighborSet::build(topo, 8, 4));
+}
+
+// Tables over complete graphs: a populated full mesh, and a
+// mostly-pristine full mesh with a single published entry.
+TEST(LinkStateViews, FillRowAndColumnEqualGetOnDenseTables) {
+  expect_csr_views_match_get(NeighborSet::full_mesh(30));
 
   const NeighborSet mesh_12 = NeighborSet::full_mesh(12);
   LinkStateTable bare(mesh_12);
