@@ -18,7 +18,6 @@
 #define RONPATH_BENCH_COMMON_H_
 
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -76,27 +75,6 @@ struct BenchArgs {
     if (errno == ERANGE || v < min_value || v > max_value) {
       std::fprintf(stderr, "%s: value %lld out of range [%lld, %lld]\n", flag, v,
                    static_cast<long long>(min_value), static_cast<long long>(max_value));
-      std::exit(2);
-    }
-    return v;
-  }
-
-  // Strict floating-point parsing, same contract as parse_int: the whole
-  // token must be a finite number inside [min_value, max_value]. Guards
-  // the --max-regress CI gates, where strtod's silent 0.0 on garbage
-  // would turn a typo into an always-failing (or disabled) threshold.
-  static double parse_double(const char* flag, const char* text, double min_value,
-                             double max_value) {
-    errno = 0;
-    char* end = nullptr;
-    const double v = std::strtod(text, &end);
-    if (end == text || *end != '\0') {
-      std::fprintf(stderr, "%s: expected a number, got \"%s\"\n", flag, text);
-      std::exit(2);
-    }
-    if (errno == ERANGE || !std::isfinite(v) || v < min_value || v > max_value) {
-      std::fprintf(stderr, "%s: value %g out of range [%g, %g]\n", flag, v, min_value,
-                   max_value);
       std::exit(2);
     }
     return v;
@@ -191,7 +169,7 @@ struct BenchArgs {
 };
 
 // Opens `path` for writing or exits 2 with a diagnostic. Benches must
-// fail loudly when a --csv/--out path is unwritable instead of printing
+// fail loudly when a --csv path is unwritable instead of printing
 // the table and silently dropping the file.
 inline void open_output_or_die(std::ofstream& os, const std::string& path) {
   os.open(path);

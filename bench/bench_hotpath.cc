@@ -14,30 +14,21 @@
 // across code versions; only wall-clock changes. Each workload runs
 // --reps times (each rep a fresh fixed-seed world, so checksums must
 // match exactly across reps) and the best rep is reported, suppressing
-// scheduler-noise outliers on shared machines. Results are emitted as
-// a flat JSON object (the entry shape of BENCH_hotpath.json). --compare
-// reads a committed trajectory file and exits 1 when packets/sec or
-// events/sec regressed by more than --max-regress x against the LAST
-// entry, so CI catches hot-path regressions without flagging ordinary
-// machine-to-machine variance. It also exits 1 when the packet or
-// sample checksum differs from the committed one for the same seed and
-// iteration counts: a speedup must not change what is simulated.
+// scheduler-noise outliers on shared machines. The packet and sample
+// checksums pin what is simulated: a speedup must not change them.
+// tests/bench_pins_test.cc runs `--reps 1` and checks both against the
+// pinned values (ctest -L pins).
 //
 // Usage:
-//   bench_hotpath [--quick] [--reps N] [--seed S] [--label NAME]
-//                 [--out PATH] [--compare BENCH_hotpath.json]
-//                 [--max-regress F]
+//   bench_hotpath [--quick] [--reps N] [--seed S]
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cerrno>
-#include <cstring>
+#include <functional>
 #include <limits>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -48,7 +39,6 @@
 #include "net/loss_process.h"
 #include "net/network.h"
 #include "util/rng.h"
-#include "util/trajectory.h"
 
 namespace ronpath {
 namespace {
@@ -202,88 +192,6 @@ void bench_samples(Result& r, std::int64_t n, std::uint64_t seed) {
   r.sample_checksum = checksum;
 }
 
-// ------------------------------------------------------------------ plumbing
-
-void emit_json(std::FILE* f, const Result& r, const std::string& label, std::uint64_t seed) {
-  std::fprintf(f,
-               "{\n"
-               "  \"schema\": \"ronpath-bench-hotpath-v1\",\n"
-               "  \"label\": \"%s\",\n"
-               "  \"seed\": %llu,\n"
-               "  \"packets\": %lld,\n"
-               "  \"packets_per_sec\": %.1f,\n"
-               "  \"events\": %lld,\n"
-               "  \"events_per_sec\": %.1f,\n"
-               "  \"samples\": %lld,\n"
-               "  \"ns_per_sample\": %.2f,\n"
-               "  \"packet_checksum\": \"%016llx\",\n"
-               "  \"sample_checksum\": \"%016llx\"",
-               label.c_str(), static_cast<unsigned long long>(seed),
-               static_cast<long long>(r.packets), r.packets_per_sec,
-               static_cast<long long>(r.events), r.events_per_sec,
-               static_cast<long long>(r.samples), r.ns_per_sample,
-               static_cast<unsigned long long>(r.packet_checksum),
-               static_cast<unsigned long long>(r.sample_checksum));
-  std::fprintf(f, "\n}\n");
-}
-
-int compare_against(const char* path, const Result& r, std::uint64_t seed, double max_regress) {
-  const std::optional<std::string> text = traj::read_file(path);
-  if (!text) {
-    std::fprintf(stderr, "--compare: cannot read %s\n", path);
-    return 2;
-  }
-  // Baseline = the LAST trajectory entry only. Older entries may carry
-  // fields the newest one lacks (and vice versa), so the keys must be
-  // resolved within one entry, not by a whole-file scan.
-  const std::string entry = traj::last_entry(*text);
-  if (entry.empty()) {
-    std::fprintf(stderr, "--compare: no trajectory entry in %s\n", path);
-    return 2;
-  }
-
-  int rc = 0;
-  const struct {
-    const char* key;
-    double measured;
-  } checks[] = {
-      {"packets_per_sec", r.packets_per_sec},
-      {"events_per_sec", r.events_per_sec},
-  };
-  for (const auto& c : checks) {
-    const double committed = traj::number_field(entry, c.key);
-    if (committed <= 0.0) {
-      std::fprintf(stderr, "--compare: no %s in the last entry of %s\n", c.key, path);
-      return 2;
-    }
-    const double ratio = committed / c.measured;
-    std::printf("compare %-16s measured %12.1f committed %12.1f (%.2fx %s)\n", c.key,
-                c.measured, committed, ratio > 1.0 ? ratio : 1.0 / ratio,
-                ratio > 1.0 ? "slower" : "faster");
-    if (ratio > max_regress) {
-      std::fprintf(stderr, "REGRESSION: %s is %.2fx below the committed baseline "
-                           "(limit %.2fx)\n",
-                   c.key, ratio, max_regress);
-      rc = 1;
-    }
-  }
-
-  // The checksums pin what is simulated, so they are comparable only when
-  // the baseline ran the same seed and iteration counts. Entries without
-  // a seed field predate it and ran the default seed 42.
-  const bool same_shape =
-      traj::number_field(entry, "seed", 42.0) == static_cast<double>(seed) &&
-      traj::number_field(entry, "packets") == static_cast<double>(r.packets) &&
-      traj::number_field(entry, "samples") == static_cast<double>(r.samples);
-  if (!same_shape) {
-    std::printf("compare checksums skipped: the baseline ran a different seed or size\n");
-    return rc;
-  }
-  if (!traj::checksum_matches(entry, "packet_checksum", r.packet_checksum)) rc = 1;
-  if (!traj::checksum_matches(entry, "sample_checksum", r.sample_checksum)) rc = 1;
-  return rc;
-}
-
 int run(int argc, char** argv) {
   using bench::BenchArgs;
 
@@ -292,10 +200,6 @@ int run(int argc, char** argv) {
   std::int64_t n_samples = 2'000'000;
   std::uint64_t seed = 42;
   int reps = 3;
-  std::string label = "run";
-  std::string out_path;
-  const char* compare_path = nullptr;
-  double max_regress = 2.0;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -315,19 +219,8 @@ int run(int argc, char** argv) {
           "--seed", next(), 0, std::numeric_limits<std::int64_t>::max()));
     } else if (arg == "--reps") {
       reps = static_cast<int>(BenchArgs::parse_int("--reps", next(), 1, 1000));
-    } else if (arg == "--label") {
-      label = next();
-    } else if (arg == "--out") {
-      out_path = next();
-    } else if (arg == "--compare") {
-      compare_path = next();
-    } else if (arg == "--max-regress") {
-      max_regress = BenchArgs::parse_double("--max-regress", next(),
-                                            std::numeric_limits<double>::min(), 1e6);
     } else if (arg == "--help") {
-      std::printf("usage: %s [--quick] [--reps N] [--seed S] [--label NAME] [--out PATH] "
-                  "[--compare FILE] [--max-regress F]\n",
-                  argv[0]);
+      std::printf("usage: %s [--quick] [--reps N] [--seed S]\n", argv[0]);
       return 0;
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
@@ -365,21 +258,6 @@ int run(int argc, char** argv) {
   std::printf("ns/sample   : %12.2f  (%lld samples, checksum %016llx)\n", r.ns_per_sample,
               static_cast<long long>(r.samples),
               static_cast<unsigned long long>(r.sample_checksum));
-
-  if (!out_path.empty()) {
-    std::FILE* f = std::fopen(out_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot open \"%s\" for writing: %s\n", out_path.c_str(),
-                   std::strerror(errno));
-      return 2;
-    }
-    emit_json(f, r, label, seed);
-    std::fclose(f);
-  } else {
-    emit_json(stdout, r, label, seed);
-  }
-
-  if (compare_path) return compare_against(compare_path, r, seed, max_regress);
   return 0;
 }
 

@@ -24,30 +24,20 @@
 //
 // Every run is a fixed-seed pure function, so per-tier report checksums
 // must agree across --reps; only wall clock may vary (best rep wins).
-// Results are emitted as a flat JSON object (the entry shape of
-// BENCH_scale.json); --compare reads the committed trajectory and exits
-// 1 when packets/sec or events/sec of any tier measured this run
-// regressed by more than --max-regress x against the LAST entry (tiers
-// absent on either side are skipped; a tier key whose value is not a
-// positive number exits 2), or when a tier's report checksum
-// differs from the committed one for the same fanout, landmarks, seed
-// and run length.
+// tests/bench_pins_test.cc runs `--nodes 30,300` and checks both tiers'
+// checksums against the pinned values (ctest -L pins).
 //
 // Usage:
 //   bench_scale [--nodes N[,N...]] [--fanout K] [--landmarks L]
-//               [--seed S] [--reps N] [--label NAME] [--quick]
-//               [--out PATH] [--compare BENCH_scale.json]
-//               [--max-regress F]
+//               [--seed S] [--reps N] [--quick]
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -56,7 +46,6 @@
 #include "fault/scenarios.h"
 #include "snapshot/codec.h"
 #include "snapshot/world.h"
-#include "util/trajectory.h"
 
 namespace ronpath {
 namespace {
@@ -113,7 +102,6 @@ struct TierResult {
   std::int64_t packets = 0;
   std::uint64_t events = 0;
   double control_bps_per_node = 0.0;
-  std::int64_t suppressed = 0;
   std::size_t state_bytes = 0;
   std::size_t materialized = 0;
   std::size_t components = 0;
@@ -153,9 +141,7 @@ TierResult run_tier(const Scenario& scenario, const FaultMatrixConfig& cfg) {
   const OverlayNetwork& overlay = world.overlay();
   std::int64_t control_bytes = 0;
   for (NodeId i = 0; i < static_cast<NodeId>(r.nodes); ++i) {
-    const ControlMeter& m = overlay.control_meter(i);
-    control_bytes += m.total_bytes;
-    r.suppressed += m.suppressed;
+    control_bytes += overlay.control_meter(i).total_bytes;
   }
   const double sim_seconds =
       static_cast<double>((cfg.warmup + cfg.measured).count_nanos()) / 1e9;
@@ -170,113 +156,6 @@ TierResult run_tier(const Scenario& scenario, const FaultMatrixConfig& cfg) {
   return r;
 }
 
-// The run parameters a tier's report checksum depends on.
-struct RunShape {
-  std::size_t fanout = 0;
-  std::size_t landmarks = 0;
-  std::uint64_t seed = 0;
-  bool quick = false;
-};
-
-void emit_json(std::FILE* f, const std::vector<TierResult>& tiers, const std::string& label,
-               const RunShape& shape) {
-  std::fprintf(f,
-               "{\n"
-               "  \"schema\": \"ronpath-bench-scale-v1\",\n"
-               "  \"label\": \"%s\",\n"
-               "  \"fanout\": %zu,\n"
-               "  \"landmarks\": %zu,\n"
-               "  \"seed\": %llu,\n"
-               "  \"quick\": %d",
-               label.c_str(), shape.fanout, shape.landmarks,
-               static_cast<unsigned long long>(shape.seed), shape.quick ? 1 : 0);
-  for (const TierResult& t : tiers) {
-    const auto n = t.nodes;
-    std::fprintf(f,
-                 ",\n"
-                 "  \"wall_s_%zu\": %.2f,\n"
-                 "  \"packets_per_sec_%zu\": %.1f,\n"
-                 "  \"events_per_sec_%zu\": %.1f,\n"
-                 "  \"control_bps_per_node_%zu\": %.2f,\n"
-                 "  \"suppressed_%zu\": %lld,\n"
-                 "  \"state_bytes_%zu\": %zu,\n"
-                 "  \"materialized_components_%zu\": %zu,\n"
-                 "  \"total_components_%zu\": %zu,\n"
-                 "  \"vm_hwm_kb_%zu\": %lld,\n"
-                 "  \"loss_fault_pct_%zu\": %.4f,\n"
-                 "  \"failover_s_%zu\": %.3f,\n"
-                 "  \"report_checksum_%zu\": \"%016llx\"",
-                 n, t.wall_s, n, t.packets_per_sec, n, t.events_per_sec, n,
-                 t.control_bps_per_node, n, static_cast<long long>(t.suppressed), n,
-                 t.state_bytes, n, t.materialized, n, t.components, n,
-                 static_cast<long long>(t.vm_hwm_kb), n, t.cell.loss_fault_pct, n,
-                 t.cell.failover_s, n, static_cast<unsigned long long>(t.report_checksum));
-  }
-  std::fprintf(f, "\n}\n");
-}
-
-int compare_against(const char* path, const std::vector<TierResult>& tiers,
-                    const RunShape& shape, double max_regress) {
-  const std::optional<std::string> text = traj::read_file(path);
-  if (!text) {
-    std::fprintf(stderr, "--compare: cannot read %s\n", path);
-    return 2;
-  }
-  const std::string entry = traj::last_entry(*text);
-  if (entry.empty()) {
-    std::fprintf(stderr, "--compare: no trajectory entry in %s\n", path);
-    return 2;
-  }
-  int rc = 0;
-  for (const TierResult& t : tiers) {
-    const struct {
-      std::string key;
-      double measured;
-    } checks[] = {
-        {"packets_per_sec_" + std::to_string(t.nodes), t.packets_per_sec},
-        {"events_per_sec_" + std::to_string(t.nodes), t.events_per_sec},
-    };
-    for (const auto& c : checks) {
-      if (!traj::has_field(entry, c.key)) continue;  // tier absent in the baseline
-      const double committed = traj::number_field(entry, c.key);
-      if (committed <= 0.0) {
-        std::fprintf(stderr, "--compare: %s in the last entry of %s is not a positive number\n",
-                     c.key.c_str(), path);
-        return 2;
-      }
-      const double ratio = committed / c.measured;
-      std::printf("compare %-24s measured %12.1f committed %12.1f (%.2fx %s)\n", c.key.c_str(),
-                  c.measured, committed, ratio > 1.0 ? ratio : 1.0 / ratio,
-                  ratio > 1.0 ? "slower" : "faster");
-      if (ratio > max_regress) {
-        std::fprintf(stderr,
-                     "REGRESSION: %s is %.2fx below the committed baseline (limit %.2fx)\n",
-                     c.key.c_str(), ratio, max_regress);
-        rc = 1;
-      }
-    }
-  }
-  // Report checksums pin what is simulated, so they are comparable only
-  // when the baseline ran the same shape. Entries without a seed or
-  // quick field predate them and ran the defaults (seed 42, full run).
-  const bool same_shape =
-      traj::number_field(entry, "fanout") == static_cast<double>(shape.fanout) &&
-      traj::number_field(entry, "landmarks") == static_cast<double>(shape.landmarks) &&
-      traj::number_field(entry, "seed", 42.0) == static_cast<double>(shape.seed) &&
-      traj::number_field(entry, "quick", 0.0) == (shape.quick ? 1.0 : 0.0);
-  if (!same_shape) {
-    std::printf("compare report checksums skipped: the baseline ran a different shape\n");
-    return rc;
-  }
-  for (const TierResult& t : tiers) {
-    if (!traj::checksum_matches(entry, "report_checksum_" + std::to_string(t.nodes),
-                                t.report_checksum)) {
-      rc = 1;
-    }
-  }
-  return rc;
-}
-
 int run(int argc, char** argv) {
   using bench::BenchArgs;
 
@@ -286,10 +165,6 @@ int run(int argc, char** argv) {
   std::uint64_t seed = 42;
   int reps = 1;
   bool quick = false;
-  std::string label = "run";
-  std::string out_path;
-  const char* compare_path = nullptr;
-  double max_regress = 2.0;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -314,19 +189,9 @@ int run(int argc, char** argv) {
       reps = static_cast<int>(BenchArgs::parse_int("--reps", next(), 1, 100));
     } else if (arg == "--quick") {
       quick = true;
-    } else if (arg == "--label") {
-      label = next();
-    } else if (arg == "--out") {
-      out_path = next();
-    } else if (arg == "--compare") {
-      compare_path = next();
-    } else if (arg == "--max-regress") {
-      max_regress = BenchArgs::parse_double("--max-regress", next(),
-                                            std::numeric_limits<double>::min(), 1e6);
     } else if (arg == "--help") {
       std::printf("usage: %s [--nodes N[,N...]] [--fanout K] [--landmarks L] [--seed S] "
-                  "[--reps N] [--label NAME] [--quick] [--out PATH] "
-                  "[--compare FILE] [--max-regress F]\n",
+                  "[--reps N] [--quick]\n",
                   argv[0]);
       return 0;
     } else {
@@ -363,10 +228,11 @@ int run(int argc, char** argv) {
     }
     std::printf("%5zu nodes: %7.2fs wall, %10.1f pkt/s, %10.1f ev/s, "
                 "%7.2f control B/s/node, %zu KiB overlay state, %zu/%zu components, "
-                "loss(fault) %.2f%%, failover %.2fs, checksum %016llx\n",
+                "%.1f MiB peak RSS, loss(fault) %.2f%%, failover %.2fs, checksum %016llx\n",
                 n, best.wall_s, best.packets_per_sec, best.events_per_sec,
                 best.control_bps_per_node, best.state_bytes / 1024, best.materialized,
-                best.components, best.cell.loss_fault_pct,
+                best.components, static_cast<double>(best.vm_hwm_kb) / 1024.0,
+                best.cell.loss_fault_pct,
                 best.cell.failover_s, static_cast<unsigned long long>(best.report_checksum));
     results.push_back(best);
   }
@@ -388,21 +254,6 @@ int run(int argc, char** argv) {
     }
   }
 
-  const RunShape shape{fanout, landmarks, seed, quick};
-  if (!out_path.empty()) {
-    std::FILE* f = std::fopen(out_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot open \"%s\" for writing: %s\n", out_path.c_str(),
-                   std::strerror(errno));
-      return 2;
-    }
-    emit_json(f, results, label, shape);
-    std::fclose(f);
-  } else {
-    emit_json(stdout, results, label, shape);
-  }
-
-  if (compare_path) return compare_against(compare_path, results, shape, max_regress);
   return 0;
 }
 

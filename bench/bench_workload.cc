@@ -7,22 +7,18 @@
 // and controller switches, plus the cross-policy SLO-attainment matrix.
 //
 // The matrix is a pure function of (config, seed): the report is
-// byte-identical at any --jobs, and its FNV-1a checksum is emitted in the JSON entry so CI pins
-// simulation behaviour, not just throughput.
+// byte-identical at any --jobs, and its FNV-1a checksum is printed on
+// the summary line. tests/bench_pins_test.cc runs `--jobs 2` and checks
+// that checksum against the pinned value (ctest -L pins).
 //
 // The headline claim is checked, not just printed: the run exits 1
 // unless the adaptive policy strictly beats BOTH static policies on at
-// least one (scenario, class) SLO-attainment column. --compare reads
-// the committed BENCH_workload.json trajectory and exits 1 when
-// packets/sec regressed by more than --max-regress x against the LAST
-// entry, and (when the baseline row ran the same seed, mode and packet
-// count) on any report checksum drift.
+// least one (scenario, class) SLO-attainment column.
 //
 // Usage:
 //   bench_workload [--quick] [--seed S] [--jobs J] [--spec FILE]
-//                  [--label NAME] [--out PATH]
-//                  [--compare BENCH_workload.json] [--max-regress F]
 
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -35,7 +31,6 @@
 #include "bench/bench_common.h"
 #include "fault/scenarios.h"
 #include "snapshot/codec.h"
-#include "util/trajectory.h"
 #include "workload/matrix.h"
 
 namespace ronpath {
@@ -48,9 +43,6 @@ double now_seconds() {
 }
 
 struct Result {
-  std::uint64_t seed = 0;
-  bool quick = false;
-  std::int64_t cells = 0;
   std::int64_t packets = 0;  // application packets across all cells
   double wall_s = 0.0;
   double packets_per_sec = 0.0;
@@ -60,66 +52,6 @@ struct Result {
   std::uint64_t report_checksum = 0;
 };
 
-void emit_json(std::FILE* f, const Result& r, const std::string& label) {
-  std::fprintf(f,
-               "{\n"
-               "  \"schema\": \"ronpath-bench-workload-v1\",\n"
-               "  \"label\": \"%s\",\n"
-               "  \"seed\": %llu,\n"
-               "  \"quick\": %d,\n"
-               "  \"cells\": %lld,\n"
-               "  \"packets\": %lld,\n"
-               "  \"wall_s\": %.2f,\n"
-               "  \"packets_per_sec\": %.1f,\n"
-               "  \"adaptive_wins\": %d,\n"
-               "  \"report_checksum\": \"%016llx\"\n"
-               "}\n",
-               label.c_str(), static_cast<unsigned long long>(r.seed), r.quick ? 1 : 0,
-               static_cast<long long>(r.cells),
-               static_cast<long long>(r.packets), r.wall_s, r.packets_per_sec, r.adaptive_wins,
-               static_cast<unsigned long long>(r.report_checksum));
-}
-
-int compare_against(const char* path, const Result& r, double max_regress) {
-  const std::optional<std::string> text = traj::read_file(path);
-  if (!text) {
-    std::fprintf(stderr, "--compare: cannot read %s\n", path);
-    return 2;
-  }
-  const std::string entry = traj::last_entry(*text);
-  if (entry.empty()) {
-    std::fprintf(stderr, "--compare: no trajectory entry in %s\n", path);
-    return 2;
-  }
-
-  int rc = 0;
-  const double committed = traj::number_field(entry, "packets_per_sec");
-  if (committed <= 0.0) {
-    std::fprintf(stderr, "--compare: no packets_per_sec in the last entry of %s\n", path);
-    return 2;
-  }
-  const double ratio = committed / r.packets_per_sec;
-  std::printf("compare %-16s measured %12.1f committed %12.1f (%.2fx %s)\n", "packets_per_sec",
-              r.packets_per_sec, committed, ratio > 1.0 ? ratio : 1.0 / ratio,
-              ratio > 1.0 ? "slower" : "faster");
-  if (ratio > max_regress) {
-    std::fprintf(stderr, "REGRESSION: packets_per_sec is %.2fx below the committed baseline "
-                         "(limit %.2fx)\n",
-                 ratio, max_regress);
-    rc = 1;
-  }
-
-  // The report checksum pins what is simulated, not how fast — but only
-  // when the baseline row ran the same shape (quick mode changes the
-  // workload). Entries without a seed field predate it and ran seed 42.
-  const bool same_shape =
-      traj::number_field(entry, "seed", 42.0) == static_cast<double>(r.seed) &&
-      traj::number_field(entry, "quick") == (r.quick ? 1.0 : 0.0) &&
-      static_cast<std::int64_t>(traj::number_field(entry, "packets")) == r.packets;
-  if (same_shape && !traj::checksum_matches(entry, "report_checksum", r.report_checksum)) rc = 1;
-  return rc;
-}
-
 int run(int argc, char** argv) {
   using bench::BenchArgs;
 
@@ -128,11 +60,7 @@ int run(int argc, char** argv) {
   std::uint64_t seed = 42;
   int jobs = 1;
   bool quick = false;
-  std::string label = "run";
-  std::string out_path;
   std::string spec_path;
-  const char* compare_path = nullptr;
-  double max_regress = 2.0;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -152,19 +80,8 @@ int run(int argc, char** argv) {
       jobs = static_cast<int>(BenchArgs::parse_int("--jobs", next(), 1, 1024));
     } else if (arg == "--spec") {
       spec_path = next();
-    } else if (arg == "--label") {
-      label = next();
-    } else if (arg == "--out") {
-      out_path = next();
-    } else if (arg == "--compare") {
-      compare_path = next();
-    } else if (arg == "--max-regress") {
-      max_regress = BenchArgs::parse_double("--max-regress", next(),
-                                            std::numeric_limits<double>::min(), 1e6);
     } else if (arg == "--help") {
-      std::printf("usage: %s [--quick] [--seed S] [--jobs J] [--spec FILE] "
-                  "[--label NAME] [--out PATH] [--compare FILE] [--max-regress F]\n",
-                  argv[0]);
+      std::printf("usage: %s [--quick] [--seed S] [--jobs J] [--spec FILE]\n", argv[0]);
       return 0;
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
@@ -207,9 +124,6 @@ int run(int argc, char** argv) {
   std::fputs(report.c_str(), stdout);
 
   Result r;
-  r.seed = seed;
-  r.quick = quick;
-  r.cells = static_cast<std::int64_t>(result.cells.size());
   for (const WorkloadCell& cell : result.cells) {
     for (const ClassCell& cc : cell.classes) {
       r.packets += static_cast<std::int64_t>(cc.sent);
@@ -238,26 +152,11 @@ int run(int argc, char** argv) {
               scenarios.size() * kServiceClassCount,
               static_cast<unsigned long long>(r.report_checksum));
 
-  if (!out_path.empty()) {
-    std::FILE* f = std::fopen(out_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot open \"%s\" for writing: %s\n", out_path.c_str(),
-                   std::strerror(errno));
-      return 2;
-    }
-    emit_json(f, r, label);
-    std::fclose(f);
-  } else {
-    emit_json(stdout, r, label);
-  }
-
   if (r.adaptive_wins < 1) {
     std::fprintf(stderr, "FAIL: adaptive does not strictly beat both static policies on any "
                          "(scenario, class) SLO-attainment column\n");
     return 1;
   }
-
-  if (compare_path) return compare_against(compare_path, r, max_regress);
   return 0;
 }
 

@@ -90,6 +90,14 @@ class NeighborSet {
   [[nodiscard]] bool is_landmark(NodeId v) const { return is_landmark_[v]; }
   [[nodiscard]] const std::vector<NodeId>& landmarks() const { return landmarks_; }
 
+  // Bytes held by the graph: CSR offsets and rows, reverse edge ids,
+  // the landmark list and its bitmap.
+  [[nodiscard]] std::size_t bytes() const {
+    return offsets_.size() * sizeof(std::size_t) + nbrs_.size() * sizeof(NodeId) +
+           reverse_.size() * sizeof(std::uint32_t) + landmarks_.size() * sizeof(NodeId) +
+           (is_landmark_.size() + 7) / 8;
+  }
+
  private:
   NeighborSet() = default;
   void finish(std::size_t n, std::vector<std::vector<NodeId>> rows);

@@ -81,7 +81,7 @@ std::size_t OverlayNetwork::state_bytes() const {
   bytes += neighbors_.edge_count() * sizeof(LinkMetrics);
   bytes += probe_tasks_.size() *
            (sizeof(PeriodicTask) + sizeof(std::unique_ptr<PeriodicTask>));
-  bytes += neighbors_.edge_count() * sizeof(NodeId) + (n_ + 1) * sizeof(std::size_t);
+  bytes += neighbors_.bytes();
   bytes += n_ * (sizeof(ControlMeter) + sizeof(std::uint32_t) + sizeof(std::int64_t) +
                  2 * sizeof(std::uint32_t));
   return bytes;

@@ -418,13 +418,31 @@ void Router::restore_state(snap::Decoder& d) {
     h.until = d.time();
     h.last_down = d.time();
     const std::int64_t strikes = d.i64();
-    if (strikes < 0 || strikes > kMaxStrikes) {
-      throw snap::SnapshotError("snapshot: router hold-down strikes outside [0, " +
-                                std::to_string(kMaxStrikes) + "]");
+    if (const std::string why = holddown_defect(h.until, h.last_down, strikes); !why.empty()) {
+      throw snap::SnapshotError("snapshot: router hold-down " + why);
     }
     h.strikes = static_cast<int>(strikes);
     holddown_.emplace_back(static_cast<std::size_t>(key), h);
   }
+}
+
+std::string Router::holddown_defect(TimePoint until, TimePoint last_down,
+                                    std::int64_t strikes) const {
+  // Strikes only move in [0, kMaxStrikes], and a granted ban implies at
+  // least one strike.
+  if (strikes < 0 || strikes > kMaxStrikes) {
+    return "strikes outside [0, " + std::to_string(kMaxStrikes) + "]";
+  }
+  if (until > TimePoint::epoch() && strikes == 0) return "ban without a strike";
+  // Bans are granted at the instant of a down event and never exceed
+  // holddown_max, so `until` can outrun the *latest* down event only
+  // within that bound. Saturating, since a corrupt record may hold any
+  // pair of instants.
+  if (until > TimePoint::epoch() &&
+      until.since_epoch() > Duration::saturating_add(last_down.since_epoch(), cfg_.holddown_max)) {
+    return "ban extends past holddown_max from the last down event";
+  }
+  return {};
 }
 
 bool Router::well_formed(const PathSpec& p, NodeId dst) const {
@@ -444,22 +462,11 @@ void Router::check_invariants(TimePoint now, std::vector<std::string>& out) cons
     if (i > 0 && holddown_[i - 1].first >= key) {
       out.push_back(who + ": hold-down keys out of order");
     }
-    // Strike monotonicity: strikes only move in [0, 20], and a live ban
-    // implies at least one strike.
-    if (h.strikes < 0 || h.strikes > kMaxStrikes) {
-      out.push_back(slot + ": strikes outside [0," + std::to_string(kMaxStrikes) + "]");
-    }
-    if (h.until > TimePoint::epoch() && h.strikes == 0) {
-      out.push_back(slot + ": ban without a strike");
+    if (const std::string why = holddown_defect(h.until, h.last_down, h.strikes);
+        !why.empty()) {
+      out.push_back(slot + ": " + why);
     }
     if (h.last_down > now) out.push_back(slot + ": down event in the future");
-    // Bans are granted at the instant of a down event and never exceed
-    // holddown_max, so `until` can outrun the *latest* down event only
-    // within that bound.
-    if (h.until > TimePoint::epoch() &&
-        h.until - h.last_down > cfg_.holddown_max) {
-      out.push_back(slot + ": ban extends past holddown_max from the last down event");
-    }
   }
   for (std::size_t i = 0; i < dst_states_.size(); ++i) {
     const auto& [dst, st] = dst_states_[i];

@@ -188,8 +188,8 @@ class Router {
   // Snapshot support: incumbents, switch counters and hold-down state.
   // The path engine holds only per-query scratch and is not serialized.
   // restore_state rejects malformed incumbents (wrong endpoints, a relay
-  // outside [0, n), a second relay without a first) and hold-down
-  // strikes outside [0, 20].
+  // outside [0, n), a second relay without a first) and every hold-down
+  // record check_invariants would flag by itself (holddown_defect).
   void save_state(snap::Encoder& e) const;
   void restore_state(snap::Decoder& d);
 
@@ -231,6 +231,12 @@ class Router {
   // An incumbent for `dst` starts at self, ends at dst, and names relays
   // in [0, n), a second one only after a first.
   [[nodiscard]] bool well_formed(const PathSpec& p, NodeId dst) const;
+  // Why a hold-down record is out of shape, or empty: strikes outside
+  // [0, kMaxStrikes], a ban without a strike, or a ban reaching past
+  // holddown_max from the last down event. restore_state rejects such a
+  // record and check_invariants reports it.
+  [[nodiscard]] std::string holddown_defect(TimePoint until, TimePoint last_down,
+                                            std::int64_t strikes) const;
 
   NodeId self_;
   const LinkStateTable& table_;

@@ -1,64 +1,34 @@
 // Strict argument parsing across the bench binaries — the regression
-// test for the atoll/strtod bugfix sweep.
+// test for the atoll bugfix sweep.
 //
 // Every bench must reject non-numeric --seed (formerly a silent
-// std::atoll 0 that quietly changed the experiment) and the perf-gated
-// benches must reject non-numeric, non-positive --max-regress (formerly
-// a silent strtod 0.0 that turned a typo into an always-failing or
-// disabled CI gate). The contract is a hard exit 2 before any work runs.
-// The same contract covers flags a bench does not use: the removed
-// --shards/--shard-sweep, and --trials/--jobs/--fault-scenario/--hours/
+// std::atoll 0 that quietly changed the experiment). The contract is a
+// hard exit 2 before any work runs. The same contract covers flags a
+// bench does not use: the removed --shards/--shard-sweep, the removed
+// trajectory-gate flags, and --trials/--jobs/--fault-scenario/--hours/
 // --csv on benches that would otherwise parse them and run without them.
 //
-// The benches are spawned as real subprocesses, located relative to
-// this test binary (build/tests/.. -> build/bench). The examples'
-// positional arguments follow the same contract (build/examples), and so
-// does the soak tool (build/tools).
+// The benches are spawned as real subprocesses from the build tree
+// (build/bench). The examples' positional arguments follow the same
+// contract (build/examples), and so does the soak tool (build/tools).
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
-#include <sys/stat.h>
-#include <sys/wait.h>
-#include <unistd.h>
+
+#include "subprocess.h"
 
 namespace {
 
-// The build tree's `sub` directory, found from this test binary's path.
-std::string build_subdir(const std::string& sub) {
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n <= 0) return {};
-  buf[n] = '\0';
-  std::string path(buf);
-  const std::size_t slash = path.rfind('/');
-  if (slash == std::string::npos) return {};
-  path.resize(slash);  // .../build/tests
-  const std::size_t parent = path.rfind('/');
-  if (parent == std::string::npos) return {};
-  return path.substr(0, parent) + "/" + sub;  // .../build/<sub>
-}
-
-bool exists(const std::string& path) {
-  struct stat st{};
-  return ::stat(path.c_str(), &st) == 0 && (st.st_mode & S_IXUSR) != 0;
-}
-
-// Runs `exe args...` with output discarded; returns the exit status or
-// -1 when the process did not exit normally.
-int run_bench(const std::string& exe, const std::string& args) {
-  const std::string cmd = "'" + exe + "' " + args + " >/dev/null 2>&1";
-  const int rc = std::system(cmd.c_str());
-  if (rc == -1 || !WIFEXITED(rc)) return -1;
-  return WEXITSTATUS(rc);
-}
+using ronpath::subprocess::build_subdir;
+using ronpath::subprocess::exists;
+using ronpath::subprocess::run;
 
 void expect_exit(const std::string& name, const std::string& args, int code,
                  const std::string& dir = "bench") {
   const std::string exe = build_subdir(dir) + "/" + name;
   ASSERT_TRUE(exists(exe)) << exe << " not built; build all targets before running ctest";
-  EXPECT_EQ(run_bench(exe, args), code) << name << " " << args << ": expected exit " << code;
+  EXPECT_EQ(run(exe, args), code) << name << " " << args << ": expected exit " << code;
 }
 
 void expect_rejects(const std::string& name, const std::string& args) {
@@ -86,19 +56,22 @@ TEST(BenchStrictArgs, MissingSeedValueExitsTwo) {
   }
 }
 
-// --max-regress guards a CI gate: garbage, zero and negative thresholds
-// must all exit 2 (strtod's silent 0.0 would disable or invert it).
-const char* kRegressBenches[] = {"bench_hotpath", "bench_scale", "bench_workload"};
+// The three benches whose fixed-seed checksums tests/bench_pins_test
+// pins.
+const char* kPinnedBenches[] = {"bench_hotpath", "bench_scale", "bench_workload"};
 
+// --max-regress used to arm a wall-time gate; garbage, zero and negative
+// thresholds exited 2 then, and must still exit 2 now that the flag is
+// unknown, so a script that passes one never believes a gate ran.
 TEST(BenchStrictArgs, NonNumericMaxRegressExitsTwo) {
-  for (const char* name : kRegressBenches) {
+  for (const char* name : kPinnedBenches) {
     expect_rejects(name, "--max-regress abc");
     expect_rejects(name, "--max-regress 1.5x");
   }
 }
 
 TEST(BenchStrictArgs, NonPositiveMaxRegressExitsTwo) {
-  for (const char* name : kRegressBenches) {
+  for (const char* name : kPinnedBenches) {
     expect_rejects(name, "--max-regress 0");
     expect_rejects(name, "--max-regress -2");
     expect_rejects(name, "--max-regress inf");
@@ -107,7 +80,7 @@ TEST(BenchStrictArgs, NonPositiveMaxRegressExitsTwo) {
 }
 
 TEST(BenchStrictArgs, UnknownFlagExitsTwo) {
-  for (const char* name : kRegressBenches) {
+  for (const char* name : kPinnedBenches) {
     expect_rejects(name, "--definitely-not-a-flag");
   }
 }
@@ -132,6 +105,19 @@ TEST(BenchStrictArgs, RemovedShardFlagsExitTwo) {
   expect_rejects("bench_hotpath", "--quick --shards 4");
   expect_rejects("bench_hotpath", "--quick --shard-sweep");
   expect_rejects("bench_workload", "--quick --shards 4");
+}
+
+// The trajectory gate is gone: the checksums are pinned in ctest and
+// wall time is gated by perfbench. A bench that still accepted one of
+// its flags would let a script that passes it believe a gate ran.
+// --quick bounds the run time should a bench wrongly accept one.
+TEST(BenchStrictArgs, RemovedPerfGateFlagsExitTwo) {
+  for (const char* name : kPinnedBenches) {
+    for (const char* flag : {"--compare BENCH_hotpath.json", "--max-regress 2", "--label x",
+                             "--out /dev/null"}) {
+      expect_rejects(name, std::string("--quick ") + flag);
+    }
+  }
 }
 
 // A bench rejects a flag it does not use rather than parsing it (and

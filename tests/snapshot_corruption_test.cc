@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -338,43 +339,71 @@ TEST(SnapshotCorruption, EstimatorLostCountMustMatchWindow) {
   }
 }
 
-// A router's saved state names its incumbents by node id. Each way an
-// incumbent or a hold-down strike count can be out of shape must be
-// rejected on restore, before a route query reads the table through it.
-TEST(SnapshotCorruption, MalformedRouterStateIsRejected) {
-  const NeighborSet mesh = NeighborSet::full_mesh(4);
-  LinkStateTable table(mesh);
+// A router's saved state for node 0 of a 4-node mesh: one destination
+// (1) with a loss incumbent, and one hold-down record on (dst 1, via 2).
+struct Incumbent {
+  std::uint64_t src, dst, via, via2;
+};
+struct HolddownRecord {
+  TimePoint until = TimePoint::epoch() + Duration::seconds(30);
+  TimePoint last_down = TimePoint::epoch();
+  std::int64_t strikes = 1;
+};
+
+std::vector<std::uint8_t> router_payload(Incumbent p, HolddownRecord h) {
+  snap::Encoder e;
+  e.tag("ROUT");
+  e.u64(1);
+  e.u64(1);
+  e.b(true);
+  e.u64(p.src);
+  e.u64(p.dst);
+  e.u64(p.via);
+  e.u64(p.via2);
+  e.b(false);
+  e.i64(0);
+  e.i64(0);
+  e.u64(1);
+  e.u64(1 * (4 + 1) + 2);
+  e.time(h.until);
+  e.time(h.last_down);
+  e.i64(h.strikes);
+  return e.bytes();
+}
+
+RouterConfig holddown_config() {
   RouterConfig cfg;
   cfg.holddown_base = Duration::seconds(30);
-  struct Incumbent {
-    std::uint64_t src, dst, via, via2;
-  };
-  // One destination (1) with a loss incumbent, and one hold-down on
-  // (dst 1, via 2).
-  const auto payload = [](Incumbent p, std::int64_t strikes) {
-    snap::Encoder e;
-    e.tag("ROUT");
-    e.u64(1);
-    e.u64(1);
-    e.b(true);
-    e.u64(p.src);
-    e.u64(p.dst);
-    e.u64(p.via);
-    e.u64(p.via2);
-    e.b(false);
-    e.i64(0);
-    e.i64(0);
-    e.u64(1);
-    e.u64(1 * (4 + 1) + 2);
-    e.time(TimePoint::epoch() + Duration::seconds(30));
-    e.time(TimePoint::epoch());
-    e.i64(strikes);
-    return e.bytes();
-  };
+  return cfg;
+}
+
+// Restores `bytes` into a fresh router; returns the SnapshotError text,
+// or an empty string when the bytes restored.
+std::string router_restore_error(const std::vector<std::uint8_t>& bytes) {
+  const NeighborSet mesh = NeighborSet::full_mesh(4);
+  LinkStateTable table(mesh);
+  Router r(0, table, holddown_config());
+  snap::Decoder d(bytes);
+  try {
+    r.restore_state(d);
+  } catch (const snap::SnapshotError& err) {
+    return err.what();
+  }
+  return {};
+}
+
+const Incumbent kRelayedViaTwo = {0, 1, 2, kDirectVia};
+
+// Each way an incumbent or a hold-down strike count can be out of shape
+// must be rejected on restore, before a route query reads the table
+// through it.
+TEST(SnapshotCorruption, MalformedRouterStateIsRejected) {
   const std::uint64_t direct = kDirectVia;
   {
-    Router ok(0, table, cfg);
-    const std::vector<std::uint8_t> bytes = payload({0, 1, 2, 3}, 1);
+    const NeighborSet mesh = NeighborSet::full_mesh(4);
+    LinkStateTable table(mesh);
+    Router ok(0, table, holddown_config());
+    const std::vector<std::uint8_t> bytes = router_payload({0, 1, 2, 3}, {});
     snap::Decoder d(bytes);
     ASSERT_NO_THROW(ok.restore_state(d));
     std::vector<std::string> violations;
@@ -392,28 +421,45 @@ TEST(SnapshotCorruption, MalformedRouterStateIsRejected) {
       {{0, 65537, 3, direct}, "dst aliases the key after narrowing"},
   };
   for (const auto& [path, why] : bad_paths) {
-    Router r(0, table, cfg);
-    const std::vector<std::uint8_t> bytes = payload(path, 1);
-    snap::Decoder d(bytes);
-    try {
-      r.restore_state(d);
-      FAIL() << why << ": restored";
-    } catch (const snap::SnapshotError& err) {
-      EXPECT_NE(std::string(err.what()).find("incumbent"), std::string::npos)
-          << why << ": " << err.what();
-    }
+    EXPECT_NE(router_restore_error(router_payload(path, {})).find("incumbent"),
+              std::string::npos)
+        << why;
   }
   for (const std::int64_t strikes : {std::int64_t{-1}, std::int64_t{21}, std::int64_t{1} << 32}) {
-    Router r(0, table, cfg);
-    const std::vector<std::uint8_t> bytes = payload({0, 1, 2, direct}, strikes);
-    snap::Decoder d(bytes);
-    try {
-      r.restore_state(d);
-      FAIL() << strikes << " strikes restored";
-    } catch (const snap::SnapshotError& err) {
-      EXPECT_NE(std::string(err.what()).find("strikes"), std::string::npos) << err.what();
-    }
+    HolddownRecord h;
+    h.strikes = strikes;
+    EXPECT_NE(router_restore_error(router_payload(kRelayedViaTwo, h)).find("strikes"),
+              std::string::npos)
+        << strikes << " strikes";
   }
+}
+
+// register_down grants a ban together with a strike, so a record with a
+// ban and no strike is one the auditor flags; restore rejects it too.
+TEST(SnapshotCorruption, BanWithoutStrikeIsRejected) {
+  HolddownRecord h;
+  EXPECT_EQ(router_restore_error(router_payload(kRelayedViaTwo, h)), "");
+  h.strikes = 0;
+  EXPECT_NE(router_restore_error(router_payload(kRelayedViaTwo, h)).find("ban without a strike"),
+            std::string::npos);
+}
+
+// A ban is granted at a down event and lasts at most holddown_max, so
+// `until` never lies further than that past the last down event.
+TEST(SnapshotCorruption, BanPastHolddownMaxIsRejected) {
+  const Duration max = holddown_config().holddown_max;
+  HolddownRecord h;
+  h.last_down = TimePoint::epoch() + Duration::seconds(10);
+  h.until = h.last_down + max;
+  EXPECT_EQ(router_restore_error(router_payload(kRelayedViaTwo, h)), "");
+  h.until = h.last_down + max + Duration::nanos(1);
+  EXPECT_NE(router_restore_error(router_payload(kRelayedViaTwo, h)).find("holddown_max"),
+            std::string::npos);
+  // Instants far enough apart to overflow a plain difference.
+  h.last_down = TimePoint::from_nanos(std::numeric_limits<std::int64_t>::min());
+  h.until = TimePoint::max();
+  EXPECT_NE(router_restore_error(router_payload(kRelayedViaTwo, h)).find("holddown_max"),
+            std::string::npos);
 }
 
 TEST(SnapshotFiles, WriteReadRoundTrip) {

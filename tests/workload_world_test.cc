@@ -160,7 +160,8 @@ TEST(WorkloadWorld, GoldenSloAttainmentCell) {
   const auto web = static_cast<std::size_t>(ServiceClass::kWeb);
   const auto video = static_cast<std::size_t>(ServiceClass::kVideo);
 
-  // GOLDEN_SLO (filled from the reference run; see BENCH_workload.json).
+  // GOLDEN_SLO (filled from the reference run; bench_workload's whole
+  // report is pinned by tests/bench_pins_test.cc).
   EXPECT_NEAR(probe.classes[web].slo_pct, 98.785118, 1e-3);
   EXPECT_NEAR(mesh.classes[web].slo_pct, 98.785118, 1e-3);
   EXPECT_NEAR(adaptive.classes[web].slo_pct, 99.038218, 1e-3);

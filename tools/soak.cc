@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "core/fault_matrix.h"
 #include "fault/fault.h"
 #include "fault/scenarios.h"
@@ -42,6 +43,7 @@
 #include "workload/world.h"
 
 using namespace ronpath;
+using bench::BenchArgs;
 
 namespace {
 
@@ -85,18 +87,6 @@ struct SoakOptions {
   std::exit(code);
 }
 
-std::int64_t parse_int(const char* flag, const char* text, std::int64_t lo, std::int64_t hi) {
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE || v < lo || v > hi) {
-    std::fprintf(stderr, "%s: expected an integer in [%lld, %lld], got \"%s\"\n", flag,
-                 static_cast<long long>(lo), static_cast<long long>(hi), text);
-    std::exit(2);
-  }
-  return v;
-}
-
 WorkloadPolicy parse_policy(const char* text) {
   for (const WorkloadPolicy p : all_workload_policies()) {
     if (to_string(p) == text) return p;
@@ -131,24 +121,28 @@ SoakOptions parse_args(int argc, char** argv) {
       opt.scheme = parse_scheme(next());
     } else if (arg == "--seed") {
       opt.seed = static_cast<std::uint64_t>(
-          parse_int("--seed", next(), 0, std::numeric_limits<std::int64_t>::max()));
+          BenchArgs::parse_int("--seed", next(), 0, std::numeric_limits<std::int64_t>::max()));
     } else if (arg == "--nodes") {
-      opt.nodes = static_cast<std::size_t>(parse_int("--nodes", next(), 3, 16));
+      opt.nodes = static_cast<std::size_t>(BenchArgs::parse_int("--nodes", next(), 3, 16));
     } else if (arg == "--hours") {
-      opt.measured = Duration::hours(parse_int("--hours", next(), 1, 24 * 365));
+      opt.measured = Duration::hours(BenchArgs::parse_int("--hours", next(), 1, 24 * 365));
     } else if (arg == "--send-interval-ms") {
-      opt.send_interval = Duration::millis(parse_int("--send-interval-ms", next(), 1, 60'000));
+      opt.send_interval =
+          Duration::millis(BenchArgs::parse_int("--send-interval-ms", next(), 1, 60'000));
     } else if (arg == "--checkpoint-every") {
-      opt.checkpoint_every =
-          static_cast<std::size_t>(parse_int("--checkpoint-every", next(), 1, 1'000'000'000));
+      opt.checkpoint_every = static_cast<std::size_t>(
+          BenchArgs::parse_int("--checkpoint-every", next(), 1, 1'000'000'000));
     } else if (arg == "--kill-every") {
-      opt.kill_every = static_cast<std::size_t>(parse_int("--kill-every", next(), 0, 1'000'000));
+      opt.kill_every =
+          static_cast<std::size_t>(BenchArgs::parse_int("--kill-every", next(), 0, 1'000'000));
     } else if (arg == "--synth-nodes") {
-      opt.synth_nodes = static_cast<std::size_t>(parse_int("--synth-nodes", next(), 4, 65'000));
+      opt.synth_nodes =
+          static_cast<std::size_t>(BenchArgs::parse_int("--synth-nodes", next(), 4, 65'000));
     } else if (arg == "--fanout") {
-      opt.fanout = static_cast<std::size_t>(parse_int("--fanout", next(), 1, 65'534));
+      opt.fanout = static_cast<std::size_t>(BenchArgs::parse_int("--fanout", next(), 1, 65'534));
     } else if (arg == "--landmarks") {
-      opt.landmarks = static_cast<std::size_t>(parse_int("--landmarks", next(), 0, 65'534));
+      opt.landmarks =
+          static_cast<std::size_t>(BenchArgs::parse_int("--landmarks", next(), 0, 65'534));
     } else if (arg == "--no-audit") {
       opt.audit = false;
     } else if (arg == "--snapshot-dir") {
